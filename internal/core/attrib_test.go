@@ -236,36 +236,57 @@ func TestAttribConservationFaultRetry(t *testing.T) {
 func TestAttribDifferentialResultJSON(t *testing.T) {
 	// Attribution must be passive: with the profile stripped, an
 	// attribution-on Result encodes byte-identically to attribution-off.
-	spec := tinySpec(t, "CC")
-	off, err := Run(StarNUMASystem(), tinySim(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgOn := tinySim()
-	cfgOn.Attrib = true
-	on, err := Run(StarNUMASystem(), cfgOn, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Profile == nil {
-		t.Fatal("no profile with Attrib on")
-	}
-	if err := on.Profile.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	if len(on.Profile.Windows) != cfgOn.Phases {
-		t.Fatalf("profile has %d windows, want %d", len(on.Profile.Windows), cfgOn.Phases)
-	}
-	on.Profile = nil
-	a, err := json.Marshal(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("attribution-on Result differs from attribution-off after stripping the profile")
+	// The second input drives the replica legs, and page moves and
+	// migration stalls over degraded CXL links.
+	replDegrade := tinySim()
+	replDegrade.Policy = PolicySpec{Name: "replication", Params: migrate.Params{"hot_accesses": 8, "min_sharers": 4}}
+	replDegrade.Faults = fault.DegradePlan(2)
+	for _, tc := range []struct {
+		name string
+		cfg  SimConfig
+	}{
+		{"starnuma", tinySim()},
+		{"replication-degrade", replDegrade},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tinySpec(t, "CC")
+			off, err := Run(StarNUMASystem(), tc.cfg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgOn := tc.cfg
+			cfgOn.Attrib = true
+			on, err := Run(StarNUMASystem(), cfgOn, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if on.Profile == nil {
+				t.Fatal("no profile with Attrib on")
+			}
+			if err := on.Profile.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if len(on.Profile.Windows) != cfgOn.Phases {
+				t.Fatalf("profile has %d windows, want %d", len(on.Profile.Windows), cfgOn.Phases)
+			}
+			if tc.cfg.Faults != nil && (on.ReplicaReads == 0 || on.ReplicaWriteStalls == 0 ||
+				on.MigrStalledAccesses == 0 || on.FaultDegradedSends == 0) {
+				t.Fatalf("replication under degrade exercised %d replica reads, %d replica writes, "+
+					"%d migration stalls, %d degraded sends",
+					on.ReplicaReads, on.ReplicaWriteStalls, on.MigrStalledAccesses, on.FaultDegradedSends)
+			}
+			on.Profile = nil
+			a, err := json.Marshal(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(a) != string(b) {
+				t.Fatal("attribution-on Result differs from attribution-off after stripping the profile")
+			}
+		})
 	}
 }

@@ -34,9 +34,9 @@ import (
 // excluded — the Sampler's per-phase fault set feeds step C's timing and
 // is cheaper to recompute than to snapshot coherently.
 
-// ingestKey identifies one memoized phase ingest. sig is the workload
-// stream signature (spec, system shape, per-core budget — see
-// workload.Generator.StreamSig); the remaining fields pin the tracker
+// ingestKey identifies one memoized phase ingest. sig is the phase
+// stream's signature (spec, system shape, per-core budget — see
+// workload.PhaseStream.Sig); the remaining fields pin the tracker
 // shape and the initial-placement mode, which change the ingest products
 // for the same stream.
 type ingestKey struct {

@@ -9,12 +9,17 @@ import (
 	"starnuma/internal/workload"
 )
 
-// plainSource hides a source's fast-path contracts (phaseBudgeter,
-// bulkReplayer, streamIdentifier) behind the bare AccessSource
-// interface, forcing TraceSimulate down the scalar regenerate-and-visit
-// path with no recording and no memoization. It is the reference
-// implementation for the differential tests below.
-type plainSource struct{ AccessSource }
+// plainSource is the reference source for the differential tests
+// below: it builds each phase's arrays from draw-mode Generator.Next,
+// bypassing the stream cache, and leaves the signature empty, so
+// TraceSimulate never consults the ingest memo.
+type plainSource struct{ *workload.Generator }
+
+func (p plainSource) PhaseStream(phase int, budget uint64) *workload.PhaseStream {
+	p.SetPhaseBudget(0)
+	p.ResetPhase(phase)
+	return workload.RecordStream(p.NumCores(), budget, p.Next)
+}
 
 // traceOutputs projects the fields of a TraceResult that step C and the
 // reports consume, for deep comparison.
@@ -32,7 +37,7 @@ func traceOutputs(tr *TraceResult) map[string]any {
 
 // TestIngestMemoizationIsExact runs step B for several policy variants
 // over the same workload twice — once through the bare scalar path
-// (plainSource: no stream recording, no memo) and once through the full
+// (plainSource: no stream cache, no memo) and once through the full
 // fast path, with the ingest memo warmed by the preceding variants —
 // and requires byte-identical results. This is the cross-variant
 // scenario the memo exists for: the second and later fast-path runs

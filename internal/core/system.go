@@ -38,6 +38,7 @@ const pageLineMessages = workload.PageBytes / cache.BlockBytes
 // overlap, and the next miss may not issue before its compute position.
 type coreState struct {
 	id, socket  int
+	next, end   int32    // cursor into the phase stream, and its limit
 	instr       uint64   // instructions retired so far (by gap accounting)
 	compute     sim.Time // compute-completion time of work up to the pending miss
 	pendingA    workload.Access
@@ -106,8 +107,11 @@ type timingSystem struct {
 	cfg  SimConfig
 	topo *topology.Topology
 	eng  *sim.Engine
-	gen  AccessSource
 	key  scratchKey
+
+	// stream is the window's phase stream; cores read it through their
+	// cursors.
+	stream *workload.PhaseStream
 
 	links   []*link.Link
 	ctrls   []*memdev.Controller // indexed by node
@@ -124,20 +128,17 @@ type timingSystem struct {
 	poolFault fault.PoolState
 
 	pageHome   []topology.NodeID
-	inFlight   map[uint32][]func() // page -> callbacks waiting for migration
-	replicated []bool              // §V-F study; nil when disabled
+	inFlight   map[uint32]pageFlight // pages whose migration is in flight
+	replicated []bool                // §V-F study; nil when disabled
 
 	// Stall attribution (internal/attrib): led is the active ledger, nil
 	// (disabled) unless cfg.Attrib — every charge site is gated on it, so
 	// attribution-off windows take no attribution branches. ledger is the
 	// pooled allocation behind led; linkCXL marks, index-aligned with
-	// links, which channels are CXL (queue/prop category split);
-	// drainInFlight marks pages whose in-flight migration is a fault
-	// drain, maintained only while a ledger is active.
-	led           *attrib.Ledger
-	ledger        *attrib.Ledger
-	linkCXL       []bool
-	drainInFlight map[uint32]bool
+	// links, which channels are CXL (queue/prop category split).
+	led     *attrib.Ledger
+	ledger  *attrib.Ledger
+	linkCXL []bool
 
 	cores   []*coreState
 	running int
@@ -223,7 +224,7 @@ func acquireTimingSystem(sys SystemConfig, cfg SimConfig, gen AccessSource,
 //starnuma:coldpath once-per-window teardown
 func releaseTimingSystem(ts *timingSystem) {
 	ts.w = windowStats{}
-	ts.gen = nil
+	ts.stream = nil
 	ts.replicated = nil
 	ts.sampler = nil
 	ts.sched = nil
@@ -248,7 +249,7 @@ func newScratch(sys SystemConfig, cfg SimConfig, gen AccessSource) *timingSystem
 		topo:       topo,
 		eng:        sim.NewEngine(),
 		dir:        coherence.NewDirectorySized(topo.Sockets(), gen.NumPages()*workload.BlocksPerPage),
-		inFlight:   make(map[uint32][]func()),
+		inFlight:   make(map[uint32]pageFlight),
 		cyclePS:    sys.CyclePS(),
 		annexCount: make([]uint64, topo.Sockets()),
 	}
@@ -269,7 +270,6 @@ func newScratch(sys SystemConfig, cfg SimConfig, gen AccessSource) *timingSystem
 		ts.links = append(ts.links, link.New(fmt.Sprintf("%s:%s->%s", ch.Kind, ch.From, ch.To), bw, ch.Latency))
 		ts.linkCXL = append(ts.linkCXL, ch.Kind == topology.KindCXL)
 	}
-	ts.drainInFlight = make(map[uint32]bool)
 	// Memory controllers and LLCs per node.
 	for s := 0; s < topo.Sockets(); s++ {
 		ts.ctrls = append(ts.ctrls, memdev.NewController(fmt.Sprintf("s%d", s), sys.SocketMem))
@@ -313,7 +313,6 @@ func (ts *timingSystem) resetScratch() {
 		ts.tlbs.Reset()
 	}
 	clear(ts.inFlight)
-	clear(ts.drainInFlight)
 }
 
 // prepare applies one checkpoint window's configuration to the scratch.
@@ -324,7 +323,7 @@ func (ts *timingSystem) resetScratch() {
 //starnuma:coldpath once-per-window configuration
 func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint, replicated []bool) {
 	ts.cfg = cfg
-	ts.gen = gen
+	ts.stream = gen.PhaseStream(chk.Phase, cfg.PhaseInstr)
 	ts.mlp = gen.Spec().MLP
 	ts.chargeTracker = policyChargesTracker(cfg)
 	ts.w = windowStats{}
@@ -394,9 +393,12 @@ func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint,
 	ts.pageHome = append(ts.pageHome[:0], chk.PageHome...)
 	ts.replicated = replicated
 
-	// Cores: reset in place, keeping identity and the bound wake event.
+	// Cores: reset in place, keeping identity and the bound wake event,
+	// with their cursors at the start of their phase streams.
+	off := ts.stream.Off
 	for _, cs := range ts.cores {
-		*cs = coreState{id: cs.id, socket: gen.SocketOf(cs.id), wake: cs.wake}
+		*cs = coreState{id: cs.id, socket: gen.SocketOf(cs.id), wake: cs.wake,
+			next: off[cs.id], end: off[cs.id+1]}
 	}
 	ts.running = len(ts.cores)
 	for i := range ts.annexCount {
@@ -459,10 +461,19 @@ func unloadedLatencies(topo *topology.Topology, local sim.Time) [stats.NumAccess
 // and execution proceeds — so each step's guard is naturally
 // idempotent. Event times, kinds and scheduling order are identical to
 // the closure chains', which the bit-identity determinism tests gate.
+//
+// Every link send and memory access of step C runs as a txn program:
+// demand accesses, replica reads and writes, writebacks, invalidations,
+// annex flushes and migration page packets. Link and memory
+// attribution is therefore charged in one place, run, and only for
+// steps of a recorded demand access (record set) while a ledger is
+// active.
 const (
-	opSend = iota // charge st.bytes over the route st.from -> st.to
-	opMem         // DRAM access at node st.to
-	opDone        // completion: AMAT/trace/core bookkeeping
+	opSend    = iota // charge st.bytes over the route st.from -> st.to
+	opMem            // DRAM access at node st.to
+	opReplica        // software replica-coherence stall until t.at
+	opDone           // completion: AMAT/trace/core bookkeeping
+	opLand           // page packet delivered: report to t.mv, no event
 )
 
 // hopCoh tags a send step as a coherence leg: an extra hop a block
@@ -471,10 +482,15 @@ const (
 // on them still lands in the link/CXL queue categories.
 const hopCoh uint8 = 1
 
+// doneReplica tags a completion step as a replicated-page access, which
+// bypasses the directory and so records no coherence-transaction trace
+// event.
+const doneReplica uint8 = 1
+
 // txnStep is one instruction of a transaction program.
 type txnStep struct {
 	op       uint8
-	cat      uint8 // hopCoh on coherence legs, 0 otherwise
+	cat      uint8 // hopCoh on coherence legs, doneReplica on replica completions
 	bytes    int32
 	from, to topology.NodeID
 }
@@ -486,9 +502,10 @@ type txn struct {
 	steps  [6]txnStep
 	nsteps uint8
 	idx    uint8
-	hopIdx int   // progress within the current send step's route
+	hopIdx int   // progress within the current send or replica step
 	route  []int // current send step's route (borrowed from topology)
 	at     sim.Time
+	mv     *pageMove // the page move a packet belongs to (opLand)
 
 	// Completion context (opDone); unused by fire-and-forget txns.
 	addr   uint64
@@ -523,6 +540,7 @@ func (ts *timingSystem) getTxn() *txn {
 func (ts *timingSystem) putTxn(t *txn) {
 	t.cs = nil
 	t.route = nil
+	t.mv = nil
 	t.res = coherence.Result{}
 	t.nsteps, t.idx, t.hopIdx = 0, 0, 0
 	// Clear record so a recycled txn reused fire-and-forget (writebacks,
@@ -551,9 +569,22 @@ func (t *txn) memStep(node topology.NodeID) {
 	t.nsteps++
 }
 
-// doneStep appends the completion step.
-func (t *txn) doneStep() {
-	t.steps[t.nsteps] = txnStep{op: opDone}
+// replicaStep appends the replica-coherence stall, which ends at t.at.
+func (t *txn) replicaStep() {
+	t.steps[t.nsteps] = txnStep{op: opReplica}
+	t.nsteps++
+}
+
+// doneStep appends the completion step; cat is doneReplica for replica
+// accesses, 0 otherwise.
+func (t *txn) doneStep(cat uint8) {
+	t.steps[t.nsteps] = txnStep{op: opDone, cat: cat}
+	t.nsteps++
+}
+
+// landStep appends a page packet's delivery report.
+func (t *txn) landStep() {
+	t.steps[t.nsteps] = txnStep{op: opLand}
 	t.nsteps++
 }
 
@@ -599,13 +630,29 @@ func (t *txn) run(_ sim.Time) {
 			}
 			t.at = done
 			t.idx++
+		case opReplica:
+			// The stall is always its own "replica" event, even when the
+			// penalty is zero; hopIdx marks it as taken.
+			if t.hopIdx == 0 {
+				t.hopIdx = 1
+				if ts.led != nil && t.record {
+					ts.led.Charge(int(t.socket), attrib.Replication, t.at-ts.eng.Now())
+				}
+				ts.eng.AtKind(t.at, "replica", t.fn)
+				return
+			}
+			t.hopIdx = 0
+			t.idx++
 		case opDone:
 			now := ts.eng.Now()
 			if t.at > now {
 				ts.eng.AtKind(t.at, "complete", t.fn)
 				return
 			}
-			t.finish(now)
+			t.finish(now, st.cat != doneReplica)
+			t.idx++
+		case opLand:
+			ts.landPacket(t.mv, t.at)
 			t.idx++
 		}
 	}
@@ -616,14 +663,14 @@ func (t *txn) run(_ sim.Time) {
 // it issue more work.
 //
 //starnuma:hotpath completion of every timed access
-func (t *txn) finish(now2 sim.Time) {
+func (t *txn) finish(now2 sim.Time, traced bool) {
 	ts := t.ts
 	cs := t.cs
 	if t.record {
 		ts.w.amat.Observe(t.acc, now2-t.issued)
 		ts.w.misses++
 	}
-	if ts.txnTrc != nil {
+	if traced && ts.txnTrc != nil {
 		ts.txnTrc.Record(t.issued, now2-t.issued, ts.lanes[t.socket], t.socket, t.home, t.res)
 	}
 	// Charge the miss's latency, divided by the core's MLP, as serial
@@ -635,87 +682,106 @@ func (t *txn) finish(now2 sim.Time) {
 	ts.tryIssue(cs)
 }
 
-// sendPath forwards a message hop by hop from node from to node to,
-// calling then with the delivery time. Empty routes (from == to) deliver
-// at start. Retained for the rare paths (replication, migration); the
-// per-access coherence paths use txn programs instead.
-func (ts *timingSystem) sendPath(start sim.Time, from, to topology.NodeID, bytes int, then func(sim.Time)) {
-	ts.sendHops(start, ts.topo.Route(from, to), bytes, then)
+// pageMove is one modeled page migration in flight. Its line packets
+// are txn programs that report their delivery here; the last one lands
+// the page.
+type pageMove struct {
+	page     uint32
+	from, to topology.NodeID
+	start    sim.Time // when the move began
+	left     int      // packets not yet delivered
+	last     sim.Time // latest delivery so far
 }
 
-func (ts *timingSystem) sendHops(at sim.Time, hops []int, bytes int, then func(sim.Time)) {
-	if len(hops) == 0 {
-		then(at)
-		return
-	}
-	send := func(now sim.Time) {
-		delivered, _ := ts.links[hops[0]].Send(now, bytes)
-		ts.sendHops(delivered, hops[1:], bytes, then)
-	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "send", send)
-	} else {
-		send(ts.eng.Now())
-	}
+// pageFlight is a page whose migration is in flight. Accesses to it
+// stall until the page lands.
+type pageFlight struct {
+	drain   bool // the move is a fault drain
+	waiters []stalledAccess
 }
 
-// sendPage streams one 4KB page as line-sized packets from from to to,
-// invoking then when the final packet lands. Packets share the route's
-// links with demand traffic in FIFO order, so migrations consume
-// bandwidth without head-of-line blocking whole-page transfers.
+// stalledAccess is an access parked behind an in-flight migration.
+type stalledAccess struct {
+	cs     *coreState
+	a      workload.Access
+	issued sim.Time
+	since  sim.Time // when the stall began
+	record bool
+	drain  bool // stalled behind a fault drain (attribution category)
+}
+
+// sendPage streams one 4KB page as line-sized packets from mv.from to
+// mv.to; the page lands when the final packet does. Packets share the
+// route's links with demand traffic in FIFO order, so migrations
+// consume bandwidth without head-of-line blocking whole-page transfers.
 //
 // The first hop — where all packets arrive together — is charged as one
-// SendBatch, which is closed-form identical to 64 sequential Sends; the
-// per-packet fallback covers fault-injected links, whose injector state
-// evolves message by message.
-func (ts *timingSystem) sendPage(start sim.Time, from, to topology.NodeID, then func(sim.Time)) {
-	route := ts.topo.Route(from, to)
-	if len(route) > 0 && start <= ts.eng.Now() {
-		if first, step, ok := ts.links[route[0]].SendBatch(start, ts.sys.DataBytes, pageLineMessages); ok {
-			remaining := pageLineMessages
-			var lastArrival sim.Time
-			cb := func(arr sim.Time) {
-				if arr > lastArrival {
-					lastArrival = arr
-				}
-				remaining--
-				if remaining == 0 {
-					then(lastArrival)
-				}
-			}
-			for i := 0; i < pageLineMessages; i++ {
-				ts.sendHops(first+step.Scale(i), route[1:], ts.sys.DataBytes, cb)
-			}
-			return
-		}
+// SendBatch, which is closed-form identical to 64 sequential Sends; on
+// fault-injected links, whose injector state evolves message by
+// message, every packet sends its first hop itself.
+func (ts *timingSystem) sendPage(mv *pageMove) {
+	now := ts.eng.Now()
+	route := ts.topo.Route(mv.from, mv.to)
+	var first, step sim.Time
+	batched := false
+	if len(route) > 0 {
+		first, step, batched = ts.links[route[0]].SendBatch(now, ts.sys.DataBytes, pageLineMessages)
 	}
-	remaining := pageLineMessages
-	var lastArrival sim.Time
 	for i := 0; i < pageLineMessages; i++ {
-		ts.sendPath(start, from, to, ts.sys.DataBytes, func(arr sim.Time) {
-			if arr > lastArrival {
-				lastArrival = arr
-			}
-			remaining--
-			if remaining == 0 {
-				then(lastArrival)
-			}
-		})
+		t := ts.getTxn()
+		t.mv = mv
+		t.at = now
+		t.sendStep(mv.from, mv.to, ts.sys.DataBytes)
+		if batched {
+			// SendBatch already carried packet i over the first hop.
+			t.at = first + step.Scale(i)
+			t.route, t.hopIdx = route, 1
+		}
+		t.landStep()
+		t.run(now)
 	}
 }
 
-// memAccess performs a DRAM access at node when the request arrives
-// there, invoking then with the data-ready time. Retained for the rare
-// paths; per-access coherence paths use txn programs.
-func (ts *timingSystem) memAccess(at sim.Time, node topology.NodeID, addr uint64, then func(sim.Time)) {
-	access := func(now sim.Time) {
-		done, _ := ts.ctrls[node].Access(now, addr, cache.BlockBytes)
-		then(done)
+// landPacket records one page packet's delivery at arr and lands the
+// page once every packet has arrived.
+func (ts *timingSystem) landPacket(mv *pageMove, arr sim.Time) {
+	if arr > mv.last {
+		mv.last = arr
 	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "mem", access)
+	mv.left--
+	if mv.left > 0 {
+		return
+	}
+	if ts.w.trc != nil && ts.trcMigN < migrationTraceCap {
+		ts.trcMigN++
+		ts.w.trc.SpanArgs("migrate", "page move", ts.lanes[mv.to], mv.start, mv.last-mv.start,
+			evtrace.Arg{Key: "page", Val: strconv.FormatUint(uint64(mv.page), 10)},
+			evtrace.Arg{Key: "from", Val: ts.lanes[mv.from]})
+	}
+	if mv.last > ts.eng.Now() {
+		ts.eng.AtKind(mv.last, "migrate_land", func(sim.Time) { ts.wakeStalled(mv.page) })
 	} else {
-		access(ts.eng.Now())
+		ts.wakeStalled(mv.page)
+	}
+}
+
+// wakeStalled ends page's in-flight migration and re-issues the
+// accesses stalled behind it, charging each its wait — to migration, or
+// to drain when it stalled behind a fault drain. A re-issue may stall
+// again behind a later migration; each leg charges its own wait, so
+// chains sum exactly.
+func (ts *timingSystem) wakeStalled(page uint32) {
+	f := ts.inFlight[page]
+	delete(ts.inFlight, page)
+	for _, w := range f.waiters {
+		if ts.led != nil && w.record {
+			cat := attrib.Migration
+			if w.drain {
+				cat = attrib.Drain
+			}
+			ts.led.Charge(w.cs.socket, cat, ts.eng.Now()-w.since)
+		}
+		ts.issueAccess(w.cs, w.a, w.issued, w.record)
 	}
 }
 
@@ -766,48 +832,6 @@ func (ts *timingSystem) chargeMem(socket, node topology.NodeID, arrived, done, q
 	ts.led.Charge(s, attrib.DRAM, done-arrived-onChip-queuing)
 }
 
-// sendHopsCharged is sendHops with per-hop attribution: identical event
-// kinds and timing, plus a ledger charge after each Send. Used by the
-// replicated-access demand legs, which keep the closure style; callers
-// pick it only when ts.led != nil and the access is recorded, so the
-// attribution-off path is untouched.
-func (ts *timingSystem) sendHopsCharged(at sim.Time, hops []int, bytes int, socket topology.NodeID, then func(sim.Time)) {
-	if len(hops) == 0 {
-		then(at)
-		return
-	}
-	send := func(now sim.Time) {
-		delivered, q := ts.links[hops[0]].Send(now, bytes)
-		ts.chargeHop(hops[0], socket, now, delivered, q, false)
-		ts.sendHopsCharged(delivered, hops[1:], bytes, socket, then)
-	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "send", send)
-	} else {
-		send(ts.eng.Now())
-	}
-}
-
-// sendPathCharged is sendPath with per-hop attribution.
-func (ts *timingSystem) sendPathCharged(start sim.Time, from, to topology.NodeID, bytes int, socket topology.NodeID, then func(sim.Time)) {
-	ts.sendHopsCharged(start, ts.topo.Route(from, to), bytes, socket, then)
-}
-
-// memAccessCharged is memAccess with attribution: identical event kind
-// and timing, plus the controller-round-trip charge.
-func (ts *timingSystem) memAccessCharged(at sim.Time, node topology.NodeID, socket topology.NodeID, addr uint64, then func(sim.Time)) {
-	access := func(now sim.Time) {
-		done, q := ts.ctrls[node].Access(now, addr, cache.BlockBytes)
-		ts.chargeMem(socket, node, now, done, q)
-		then(done)
-	}
-	if at > ts.eng.Now() {
-		ts.eng.AtKind(at, "mem", access)
-	} else {
-		access(ts.eng.Now())
-	}
-}
-
 // start launches the cores and the migration engine.
 //
 //starnuma:coldpath once-per-window kickoff
@@ -848,41 +872,14 @@ func (ts *timingSystem) scheduleMigrations(chk Checkpoint) {
 				ts.tlbs.Shootdown(page)
 			}
 			ts.pageHome[page] = m.To
-			if _, ok := ts.inFlight[page]; !ok {
-				ts.inFlight[page] = nil
-			}
-			if ts.led != nil && m.Drain {
-				// Mark the in-flight move as a drain so demand stalls
-				// behind it charge to the drain category.
-				ts.drainInFlight[page] = true
-			}
+			f := ts.inFlight[page]
+			f.drain = f.drain || m.Drain
+			ts.inFlight[page] = f
 			from := m.From
 			if from == Unassigned {
 				from = m.To
 			}
-			ts.sendPage(now, from, m.To, func(arr sim.Time) {
-				if ts.w.trc != nil && ts.trcMigN < migrationTraceCap {
-					ts.trcMigN++
-					ts.w.trc.SpanArgs("migrate", "page move", ts.lanes[m.To], now, arr-now,
-						evtrace.Arg{Key: "page", Val: strconv.FormatUint(uint64(page), 10)},
-						evtrace.Arg{Key: "from", Val: ts.lanes[from]})
-				}
-				fire := func(sim.Time) {
-					waiters := ts.inFlight[page]
-					delete(ts.inFlight, page)
-					if ts.led != nil {
-						delete(ts.drainInFlight, page)
-					}
-					for _, w := range waiters {
-						w()
-					}
-				}
-				if arr > ts.eng.Now() {
-					ts.eng.AtKind(arr, "migrate_land", fire)
-				} else {
-					fire(ts.eng.Now())
-				}
-			})
+			ts.sendPage(&pageMove{page: page, from: from, to: m.To, start: now, left: pageLineMessages})
 		})
 	}
 	// Remaining migrations take effect instantly at window start: the
@@ -893,8 +890,9 @@ func (ts *timingSystem) scheduleMigrations(chk Checkpoint) {
 	}
 }
 
-// tryIssue advances a core: it fetches accesses from the generator and
-// issues them subject to the MLP cap and the compute-position constraint.
+// tryIssue advances a core: it reads accesses from its phase-stream
+// cursor and issues them subject to the MLP cap and the
+// compute-position constraint.
 //
 //starnuma:hotpath the per-instruction issue loop, dispatched from engine events
 func (ts *timingSystem) tryIssue(cs *coreState) {
@@ -911,7 +909,11 @@ func (ts *timingSystem) tryIssue(cs *coreState) {
 				}
 				return
 			}
-			a := ts.gen.Next(cs.id)
+			if cs.next == cs.end {
+				streamOverrunPanic(cs.id)
+			}
+			a := ts.stream.At(cs.next)
+			cs.next++
 			cs.instr += uint64(a.Gap)
 			cs.compute += gapTime(a.Gap, ts.ipc0, ts.cyclePS)
 			cs.pendingA = a
@@ -975,31 +977,12 @@ func (ts *timingSystem) finishCore(cs *coreState, now sim.Time) {
 //starnuma:hotpath one call per timed memory access
 func (ts *timingSystem) issueAccess(cs *coreState, a workload.Access, issued sim.Time, record bool) {
 	// Stall behind an in-flight migration of the page (§IV-C).
-	if waiters, ok := ts.inFlight[a.Page]; ok {
+	if f, ok := ts.inFlight[a.Page]; ok {
 		ts.w.migrStalled++
-		if ts.led != nil && record {
-			// Charged variant: book the wait (from now until the page
-			// lands) to migration, or to drain when the in-flight move is
-			// a fault drain. Re-issue may stall again behind a later
-			// migration; each leg charges its own wait, so chains sum
-			// exactly.
-			start := ts.eng.Now()
-			cat := attrib.Migration
-			if ts.drainInFlight[a.Page] {
-				cat = attrib.Drain
-			}
-			sock := cs.socket
-			//starnumavet:allow hotalloc waiter list exists only while a migration of this page is in flight; stalls are rare by design
-			ts.inFlight[a.Page] = append(waiters, func() {
-				ts.led.Charge(sock, cat, ts.eng.Now()-start)
-				ts.issueAccess(cs, a, issued, record)
-			})
-			return
-		}
 		//starnumavet:allow hotalloc waiter list exists only while a migration of this page is in flight; stalls are rare by design
-		ts.inFlight[a.Page] = append(waiters, func() {
-			ts.issueAccess(cs, a, issued, record)
-		})
+		f.waiters = append(f.waiters, stalledAccess{cs: cs, a: a, issued: issued,
+			since: ts.eng.Now(), record: record, drain: f.drain})
+		ts.inFlight[a.Page] = f
 		return
 	}
 	now := ts.eng.Now()
@@ -1117,25 +1100,13 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 	}
 
 	// The demand access itself.
-	t := ts.getTxn()
-	t.at = now
-	t.addr = addr
-	t.cs = cs
-	t.issued = issued
-	t.record = record
-	t.socket, t.home = socket, home
+	t := ts.demandTxn(cs, socket, home, addr, now, issued, record)
 	t.res = res
 	switch res.Outcome {
 	case coherence.Memory:
 		t.acc = ts.classify(socket, home)
-		if home != socket {
-			t.sendStep(socket, home, ts.sys.MessageBytes)
-		}
-		t.memStep(home)
-		if home != socket {
-			t.sendStep(home, socket, ts.sys.DataBytes)
-		}
-		t.doneStep()
+		ts.homeLegs(t, socket, home)
+		t.doneStep(0)
 	case coherence.BlockTransfer3Hop:
 		// R→H request, directory+memory access at H, H→O forward, O→R
 		// data (Fig. 4's red path).
@@ -1144,7 +1115,7 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 		t.memStep(home)
 		t.sendStepCoh(home, res.Owner, ts.sys.MessageBytes)
 		t.sendStepCoh(res.Owner, socket, ts.sys.DataBytes)
-		t.doneStep()
+		t.doneStep(0)
 	case coherence.BlockTransfer4Hop:
 		poolN := ts.topo.PoolNode()
 		t.sendStep(socket, poolN, ts.sys.MessageBytes)
@@ -1162,7 +1133,7 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 			t.sendStepCoh(res.Owner, poolN, ts.sys.DataBytes)
 			t.sendStepCoh(poolN, socket, ts.sys.DataBytes)
 		}
-		t.doneStep()
+		t.doneStep(0)
 	default:
 		unknownOutcomePanic(res.Outcome)
 	}
@@ -1183,32 +1154,15 @@ func unknownOutcomePanic(o coherence.Outcome) {
 func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 	socket, home topology.NodeID, addr uint64, issued sim.Time, record bool) {
 	now := ts.eng.Now()
-	fin := func(done sim.Time, at stats.AccessType) {
-		step := func(now2 sim.Time) {
-			if record {
-				ts.w.amat.Observe(at, now2-issued)
-				ts.w.misses++
-			}
-			cs.compute += (now2 - issued) / sim.Time(ts.mlp)
-			cs.outstanding--
-			ts.tryIssue(cs)
-		}
-		if done > ts.eng.Now() {
-			ts.eng.AtKind(done, "complete", step)
-		} else {
-			step(ts.eng.Now())
-		}
-	}
-	charge := ts.led != nil && record
 	if !a.Write {
 		if record {
 			ts.w.replicaReads++
 		}
-		if charge {
-			ts.memAccessCharged(now, socket, socket, addr, func(done sim.Time) { fin(done, stats.Local) })
-		} else {
-			ts.memAccess(now, socket, addr, func(done sim.Time) { fin(done, stats.Local) })
-		}
+		t := ts.demandTxn(cs, socket, home, addr, now, issued, record)
+		t.acc = stats.Local
+		t.memStep(socket)
+		t.doneStep(doneReplica)
+		t.run(now)
 		return
 	}
 	// Store: software replica coherence. Broadcast invalidations to every
@@ -1221,42 +1175,50 @@ func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 		if topology.NodeID(s) == socket {
 			continue
 		}
-		ts.sendPath(now, socket, topology.NodeID(s), ts.sys.MessageBytes, func(sim.Time) {})
+		inv := ts.getTxn()
+		inv.at = now
+		inv.sendStep(socket, topology.NodeID(s), ts.sys.MessageBytes)
+		inv.run(now)
 	}
 	penalty := ts.cfg.Replication.WritePenaltyCycles.Time(ts.cyclePS)
-	at := ts.classify(socket, home)
-	if charge {
-		// The kernel-level replica-coherence stall is exactly penalty;
-		// the home round trip decomposes like any demand access.
-		ts.led.Charge(cs.socket, attrib.Replication, penalty)
-		ts.eng.AtKind(now+penalty, "replica", func(start sim.Time) {
-			if home == socket {
-				ts.memAccessCharged(start, home, socket, addr, func(done sim.Time) { fin(done, at) })
-				return
-			}
-			ts.sendPathCharged(start, socket, home, ts.sys.MessageBytes, socket, func(arr sim.Time) {
-				ts.memAccessCharged(arr, home, socket, addr, func(ready sim.Time) {
-					ts.sendPathCharged(ready, home, socket, ts.sys.DataBytes, socket, func(done sim.Time) {
-						fin(done, at)
-					})
-				})
-			})
-		})
-		return
+	t := ts.demandTxn(cs, socket, home, addr, now+penalty, issued, record)
+	t.acc = ts.classify(socket, home)
+	t.replicaStep()
+	ts.homeLegs(t, socket, home)
+	t.doneStep(doneReplica)
+	t.run(now)
+}
+
+// demandTxn returns a transaction carrying a core's access: its
+// completion context and first step's start time at. The caller adds
+// the program.
+//
+//starnuma:hotpath one call per timed access
+func (ts *timingSystem) demandTxn(cs *coreState, socket, home topology.NodeID,
+	addr uint64, at, issued sim.Time, record bool) *txn {
+	t := ts.getTxn()
+	t.at = at
+	t.addr = addr
+	t.cs = cs
+	t.issued = issued
+	t.record = record
+	t.socket, t.home = socket, home
+	return t
+}
+
+// homeLegs appends a memory-served access: the request to home, the
+// DRAM access there, and the data reply (no network legs when home is
+// the requester's own socket).
+//
+//starnuma:hotpath one call per memory-served access
+func (ts *timingSystem) homeLegs(t *txn, socket, home topology.NodeID) {
+	if home != socket {
+		t.sendStep(socket, home, ts.sys.MessageBytes)
 	}
-	ts.eng.AtKind(now+penalty, "replica", func(start sim.Time) {
-		if home == socket {
-			ts.memAccess(start, home, addr, func(done sim.Time) { fin(done, at) })
-			return
-		}
-		ts.sendPath(start, socket, home, ts.sys.MessageBytes, func(arr sim.Time) {
-			ts.memAccess(arr, home, addr, func(ready sim.Time) {
-				ts.sendPath(ready, home, socket, ts.sys.DataBytes, func(done sim.Time) {
-					fin(done, at)
-				})
-			})
-		})
-	})
+	t.memStep(home)
+	if home != socket {
+		t.sendStep(home, socket, ts.sys.DataBytes)
+	}
 }
 
 // classify maps a memory access to its Fig. 8c category.
@@ -1284,13 +1246,13 @@ func unfinishedPanic(running, phase int) {
 	panic(fmt.Sprintf("core: %d cores never finished window (phase %d)", running, phase))
 }
 
-// phaseBudgeter is the optional AccessSource extension that lets window
-// runs declare the per-core instruction budget of a phase up front, so
-// the source can record the phase's miss stream once and replay it for
-// every later window of the same phase (workload.Generator implements
-// it). Sources without it are simply drawn from directly.
-type phaseBudgeter interface {
-	SetPhaseBudget(budget uint64)
+// streamOverrunPanic reports a core that consumed its whole phase
+// stream before its timed budget — impossible while TimedInstr is at
+// most PhaseInstr, which SimConfig.Validate enforces.
+//
+//starnuma:coldpath
+func streamOverrunPanic(core int) {
+	panic(fmt.Sprintf("core: core %d ran past its recorded phase stream", core))
 }
 
 // runWindow executes one checkpoint's timing simulation.
@@ -1298,11 +1260,7 @@ type phaseBudgeter interface {
 //starnuma:hotpath the step-C window timing simulation
 func runWindow(sys SystemConfig, cfg SimConfig, gen AccessSource,
 	chk Checkpoint, replicated []bool) windowStats {
-	if pb, ok := gen.(phaseBudgeter); ok {
-		pb.SetPhaseBudget(cfg.PhaseInstr)
-	}
 	ts := acquireTimingSystem(sys, cfg, gen, chk, replicated)
-	gen.ResetPhase(chk.Phase)
 	ts.start(chk)
 	ts.eng.Run()
 	// Cores that never finished (possible only on malformed configs)

@@ -11,7 +11,6 @@ import (
 	"starnuma/internal/sim"
 	"starnuma/internal/topology"
 	"starnuma/internal/tracker"
-	"starnuma/internal/workload"
 )
 
 // Checkpoint is the output of step B for one phase: the page map at
@@ -55,157 +54,85 @@ type TraceResult struct {
 	Trace *evtrace.Buffer
 }
 
-// phaseAccesses returns how many misses one core generates in a step-B
-// phase: the generator is drawn until the core's instruction budget is
-// consumed.
-//
-//starnuma:hotpath step-A/B phase replay, one call per phase
-func runPhaseTrace(gen AccessSource, phase int, phaseInstr uint64,
-	visit func(core int, a workload.Access)) {
-	gen.ResetPhase(phase)
-	cores := gen.NumCores()
-	// Interleave cores round-robin, each consuming its own instruction
-	// budget. Round-robin at miss granularity approximates global
-	// instruction-count ordering well enough for first-touch purposes.
-	instr := make([]uint64, cores)
-	active := cores
-	for active > 0 {
-		for c := 0; c < cores; c++ {
-			if instr[c] >= phaseInstr {
-				continue
-			}
-			a := gen.Next(c)
-			instr[c] += uint64(a.Gap)
-			if instr[c] >= phaseInstr {
-				active--
-			}
-			visit(c, a)
-		}
-	}
-}
-
-// bulkReplayer is the fast-path contract workload.Generator offers step
-// B: read-only access to the recorded phase stream as flat arrays, so
-// the ingest loop runs over slices instead of making one interface call
-// per access.
-type bulkReplayer interface {
-	ReplayArrays(budget uint64) (off []int32, pages []uint32, writes []bool, ok bool)
-}
-
-// streamIdentifier is the memoization contract: a source whose recorded
-// streams have a stable identity (workload.Generator's stream-cache
-// signature). Equal signatures mean byte-identical streams per phase.
-type streamIdentifier interface {
-	StreamSig() (sig string, ok bool)
-}
-
 // ingestPhase replays one phase into the first-touch map, the tracker
-// (or its software-sampling front), and the per-page counts. When the
-// source exposes its recorded arrays the replay runs directly over
-// them; the visit order — cores interleaved round-robin at miss
-// granularity — is identical on both paths, which first-touch
-// assignment depends on. Hardware-tracker ingests over identifiable
-// streams are memoized across variants (see ingestmemo.go): a repeat of
-// the same (stream, phase, tracker shape) restores the recorded
+// (or its software-sampling front), and the per-page counts, reading the
+// source's recorded arrays with cores interleaved round-robin at miss
+// granularity — the order first-touch assignment depends on, which
+// approximates global instruction-count ordering well enough for
+// first-touch purposes. Hardware-tracker ingests of streams with a
+// signature are memoized across variants (see ingestmemo.go): a repeat
+// of the same (stream, phase, tracker shape) restores the recorded
 // products by array copy instead of re-walking the stream.
 func ingestPhase(gen AccessSource, phase int, phaseInstr uint64, striped bool,
 	home []topology.NodeID, sampler *tracker.Sampler, tbl *tracker.Table,
 	counts *migrate.PageCounts) {
-	br, bulk := gen.(bulkReplayer)
+	s := gen.PhaseStream(phase, phaseInstr)
+	memoable := sampler == nil && s.Sig != ""
 	var key ingestKey
-	memoable := false
-	if bulk && sampler == nil {
-		if si, ok := gen.(streamIdentifier); ok {
-			if sig, ok := si.StreamSig(); ok {
-				key = ingestKey{sig: sig, phase: phase, kind: tbl.Kind(),
-					regionPages: tbl.RegionPages(), striped: striped}
-				memoable = true
-				if e := lookupIngest(key); e != nil {
-					for i, p := range e.firstPages {
-						if home[p] == Unassigned {
-							home[p] = e.firstHomes[i]
-						}
-					}
-					tbl.LoadState(e.tbl)
-					counts.LoadState(e.pc)
-					return
+	if memoable {
+		key = ingestKey{sig: s.Sig, phase: phase, kind: tbl.Kind(),
+			regionPages: tbl.RegionPages(), striped: striped}
+		if e := lookupIngest(key); e != nil {
+			for i, p := range e.firstPages {
+				if home[p] == Unassigned {
+					home[p] = e.firstHomes[i]
 				}
 			}
-		}
-	}
-	if bulk {
-		// ResetPhase binds the recorded stream; runPhaseTrace repeats it
-		// harmlessly on the fallback path (rebinding is idempotent).
-		gen.ResetPhase(phase)
-		if off, pages, writes, ok := br.ReplayArrays(phaseInstr); ok {
-			cores := gen.NumCores()
-			socketOf := make([]int, cores)
-			cur := make([]int32, cores)
-			active := 0
-			for c := 0; c < cores; c++ {
-				socketOf[c] = gen.SocketOf(c)
-				cur[c] = off[c]
-				if cur[c] < off[c+1] {
-					active++
-				}
-			}
-			var firstPages []uint32
-			var firstHomes []topology.NodeID
-			// A core's recorded length is exactly its consumption at this
-			// budget (ReplayArrays guarantees the budgets match), so
-			// cursor exhaustion is the per-core finish condition.
-			for active > 0 {
-				for c := 0; c < cores; c++ {
-					i := cur[c]
-					if i >= off[c+1] {
-						continue
-					}
-					cur[c] = i + 1
-					if i+1 >= off[c+1] {
-						active--
-					}
-					p := pages[i]
-					s := socketOf[c]
-					if home[p] == Unassigned {
-						home[p] = topology.NodeID(s) // first touch
-						if memoable {
-							firstPages = append(firstPages, p)
-							firstHomes = append(firstHomes, topology.NodeID(s))
-						}
-					}
-					if sampler != nil {
-						sampler.Record(s, p)
-					} else {
-						tbl.Record(s, p)
-					}
-					counts.Record(s, p)
-					if writes[i] {
-						counts.RecordWrite(p)
-					}
-				}
-			}
-			if memoable {
-				storeIngest(key, &ingestEntry{tbl: tbl.SaveState(), pc: counts.SaveState(),
-					firstPages: firstPages, firstHomes: firstHomes})
-			}
+			tbl.LoadState(e.tbl)
+			counts.LoadState(e.pc)
 			return
 		}
 	}
-	runPhaseTrace(gen, phase, phaseInstr, func(c int, a workload.Access) {
-		s := gen.SocketOf(c)
-		if home[a.Page] == Unassigned {
-			home[a.Page] = topology.NodeID(s) // first touch
+	off, pages, writes := s.Off, s.Pages, s.Writes
+	cores := gen.NumCores()
+	socketOf := make([]int, cores)
+	cur := make([]int32, cores)
+	active := 0
+	for c := 0; c < cores; c++ {
+		socketOf[c] = gen.SocketOf(c)
+		cur[c] = off[c]
+		if cur[c] < off[c+1] {
+			active++
 		}
-		if sampler != nil {
-			sampler.Record(s, a.Page)
-		} else {
-			tbl.Record(s, a.Page)
+	}
+	var firstPages []uint32
+	var firstHomes []topology.NodeID
+	// A core's recorded length is exactly its consumption at this
+	// budget, so cursor exhaustion is the per-core finish condition.
+	for active > 0 {
+		for c := 0; c < cores; c++ {
+			i := cur[c]
+			if i >= off[c+1] {
+				continue
+			}
+			cur[c] = i + 1
+			if i+1 >= off[c+1] {
+				active--
+			}
+			p := pages[i]
+			sock := socketOf[c]
+			if home[p] == Unassigned {
+				home[p] = topology.NodeID(sock) // first touch
+				if memoable {
+					firstPages = append(firstPages, p)
+					firstHomes = append(firstHomes, topology.NodeID(sock))
+				}
+			}
+			if sampler != nil {
+				sampler.Record(sock, p)
+			} else {
+				tbl.Record(sock, p)
+			}
+			counts.Record(sock, p)
+			if writes[i] {
+				counts.RecordWrite(p)
+			}
 		}
-		counts.Record(s, a.Page)
-		if a.Write {
-			counts.RecordWrite(a.Page)
-		}
-	})
+	}
+	if memoable {
+		storeIngest(key, &ingestEntry{tbl: tbl.SaveState(), pc: counts.SaveState(),
+			firstPages: firstPages, firstHomes: firstHomes})
+	}
 }
 
 // TraceSimulate runs step B: per-phase migration decisions over the full
@@ -220,12 +147,6 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	topo := topology.New(sys.Topology)
 	sockets := topo.Sockets()
 	pages := gen.NumPages()
-	// Declare the phase budget up front so sources that can record and
-	// replay their per-phase miss stream (workload.Generator) do so;
-	// step C's windows replay the same streams.
-	if pb, ok := gen.(phaseBudgeter); ok {
-		pb.SetPhaseBudget(cfg.PhaseInstr)
-	}
 
 	home := make([]topology.NodeID, pages)
 	for i := range home {

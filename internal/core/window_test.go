@@ -40,7 +40,14 @@ func newFakeSource(pages int, pageFor func(int) uint32) *fakeSource {
 	}
 }
 
-func (f *fakeSource) Next(core int) workload.Access {
+// PhaseStream records every core's stream from the start of the
+// pattern; the pattern is the same for every phase.
+func (f *fakeSource) PhaseStream(_ int, budget uint64) *workload.PhaseStream {
+	f.n = make([]int, f.cores)
+	return workload.RecordStream(f.cores, budget, f.next)
+}
+
+func (f *fakeSource) next(core int) workload.Access {
 	f.n[core]++
 	write := f.writeEvery > 0 && f.n[core]%f.writeEvery == 0
 	// Stagger blocks per core so reads and writes of a block interleave
@@ -53,7 +60,6 @@ func (f *fakeSource) Next(core int) workload.Access {
 		Write: write,
 	}
 }
-func (f *fakeSource) ResetPhase(int)      { f.n = make([]int, f.cores) }
 func (f *fakeSource) NumPages() int       { return f.pages }
 func (f *fakeSource) NumCores() int       { return f.cores }
 func (f *fakeSource) SocketOf(c int) int  { return c / f.perSocket }

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"os"
+	"sort"
 
 	"starnuma/internal/attrib"
 )
@@ -15,7 +16,13 @@ import (
 func (r *Runner) StallProfiles() *attrib.Doc {
 	d := &attrib.Doc{Schema: attrib.DocSchema}
 	r.mu.Lock()
-	for k, res := range r.memo {
+	keys := make([]string, 0, len(r.memo))
+	for k := range r.memo {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		res := r.memo[k]
 		if res.Profile == nil {
 			continue
 		}
@@ -27,7 +34,6 @@ func (r *Runner) StallProfiles() *attrib.Doc {
 		})
 	}
 	r.mu.Unlock()
-	d.Sort()
 	return d
 }
 

@@ -193,8 +193,10 @@ func (l *Link) Utilization(horizon sim.Time) float64 {
 // separate fault-retry time from link queuing and propagation.
 func (l *Link) LastRetry() sim.Time { return l.lastRetry }
 
-// Reset clears counters and the wire-busy horizon. Used between timing
-// windows so warm-up traffic does not pollute measured statistics.
+// Reset clears counters, the wire-busy horizon and the trace-sampling
+// counter. Used between timing windows so warm-up traffic does not
+// pollute measured statistics, and so a recycled link samples the same
+// fault-adjusted sends into its trace as a fresh one.
 func (l *Link) Reset() {
 	l.nextFree = 0
 	l.busy = 0
@@ -202,4 +204,5 @@ func (l *Link) Reset() {
 	l.messages = 0
 	l.bytesMoved = 0
 	l.lastRetry = 0
+	l.trcN = 0
 }

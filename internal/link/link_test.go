@@ -2,9 +2,11 @@ package link
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"starnuma/internal/evtrace"
 	"starnuma/internal/fault"
 	"starnuma/internal/sim"
 )
@@ -253,5 +255,31 @@ func TestSendBatchRefusesFaultedLink(t *testing.T) {
 	}
 	if l.Stats().Messages != 0 {
 		t.Fatal("refused batch still charged the link")
+	}
+}
+
+func TestResetRestartsTraceSampling(t *testing.T) {
+	// A link recycled between timing windows must trace the same sampled
+	// fault-adjusted sends as a fresh one: Reset rewinds the sampling
+	// counter along with the wire state.
+	sched := fault.NewSchedule(fault.FlapPlan())
+	l := New("cxl:s0->pool", 6, 50*sim.Nanosecond)
+	round := func() []evtrace.Event {
+		buf := evtrace.NewBuffer()
+		l.SetFault(sched.Link("cxl", "s0", "pool", 1))
+		l.SetTrace(buf, "fault/"+l.Name())
+		for i := 0; i < 1000; i++ {
+			l.Send(sim.Time(i)*10*sim.Nanosecond, 64)
+		}
+		l.Reset()
+		return buf.Events
+	}
+	first := round()
+	if len(first) < 2 {
+		t.Fatalf("flap plan traced %d sends, want several", len(first))
+	}
+	if second := round(); !reflect.DeepEqual(first, second) {
+		t.Fatalf("replay after Reset traced %d spans, first run %d (or different sends)",
+			len(second), len(first))
 	}
 }

@@ -100,10 +100,15 @@ func TestTraceDeterminismAcrossWorkerCounts(t *testing.T) {
 	cfgB := tinySim()
 	cfgB.Policy = core.PolicyPerfectBaseline
 	cfgB.Trace = true
+	// Flapping CXL ports put sampled fault-adjusted sends in the trace;
+	// which sends get sampled must not depend on scratch recycling.
+	cfgFlap := cfg
+	cfgFlap.Faults = fault.FlapPlan()
 
 	jobs := []Job{
 		{Label: "baseline/CC", Sys: core.BaselineSystem(), Cfg: cfgB, Spec: spec},
 		{Label: "starnuma-t16/CC", Sys: core.StarNUMASystem(), Cfg: cfg, Spec: spec},
+		{Label: "starnuma-t16-flap/CC", Sys: core.StarNUMASystem(), Cfg: cfgFlap, Spec: spec},
 	}
 
 	encode := func(results []*core.Result) []byte {

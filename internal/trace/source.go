@@ -14,8 +14,9 @@ import (
 //
 // One file per phase, in phase order. If the pipeline asks for more
 // phases than files exist, phases wrap around; if a core's stream is
-// exhausted within a phase, it also wraps (traces are treated as
-// stationary samples, like the paper's per-phase trace reuse).
+// exhausted before the requested budget, it also wraps (traces are
+// treated as stationary samples, like the paper's per-phase trace
+// reuse).
 type Source struct {
 	spec           workload.Spec
 	paths          []string
@@ -25,7 +26,11 @@ type Source struct {
 
 	cur     int // currently loaded phase file index (-1 = none)
 	streams [][]workload.Access
-	idx     []int
+
+	// built is the loaded file cut at budget, kept for the next
+	// PhaseStream call on the same file; nil after a load.
+	built  *workload.PhaseStream
+	budget uint64
 }
 
 // NewSource opens a replay source over the given per-phase trace files.
@@ -109,36 +114,34 @@ func (s *Source) load(i int) error {
 		}
 	}
 	s.streams = streams
-	s.idx = make([]int, h.Cores)
+	s.built = nil
 	s.cur = i
 	return nil
 }
 
-// Next implements core.AccessSource.
-func (s *Source) Next(core int) workload.Access {
-	st := s.streams[core]
-	a := st[s.idx[core]]
-	s.idx[core]++
-	if s.idx[core] >= len(st) {
-		s.idx[core] = 0 // wrap: treat the trace as a stationary sample
-	}
-	return a
-}
-
-// ResetPhase implements core.AccessSource.
-func (s *Source) ResetPhase(phase int) {
-	i := phase % len(s.paths)
-	if i != s.cur {
+// PhaseStream implements core.AccessSource: phase's file, each core's
+// records replayed from the start (wrapping as often as needed) until
+// the core's cumulative gap reaches budget. The stream has no
+// signature, so step B never memoizes a file replay.
+func (s *Source) PhaseStream(phase int, budget uint64) *workload.PhaseStream {
+	if i := phase % len(s.paths); i != s.cur {
 		if err := s.load(i); err != nil {
 			// Files validated at construction; a failure here means the
 			// file changed underneath us — fail loudly.
 			panic(fmt.Sprintf("trace: reloading phase %d: %v", phase, err))
 		}
-		return
 	}
-	for c := range s.idx {
-		s.idx[c] = 0
+	if s.built == nil || s.budget != budget {
+		idx := make([]int, len(s.streams))
+		s.built = workload.RecordStream(len(s.streams), budget, func(core int) workload.Access {
+			st := s.streams[core]
+			a := st[idx[core]]
+			idx[core] = (idx[core] + 1) % len(st)
+			return a
+		})
+		s.budget = budget
 	}
+	return s.built
 }
 
 // NumPages implements core.AccessSource.

@@ -3,6 +3,7 @@ package trace
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"starnuma/internal/workload"
@@ -55,17 +56,26 @@ func TestSourceReplaysDump(t *testing.T) {
 		t.Fatal("spec footprint not adopted from header")
 	}
 
-	// Replay must byte-match the generator for the dumped prefix.
-	gen.ResetPhase(0)
-	src.ResetPhase(0)
-	for i := 0; i < 500; i++ {
-		core := i % 64
-		want := gen.Next(core)
-		got := src.Next(core)
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
-		}
+	// Replay must byte-match the generator's recorded stream at the
+	// dump budget; only the signature differs.
+	got := *src.PhaseStream(0, 3000)
+	want := *gen.PhaseStream(0, 3000)
+	if got.Sig != "" {
+		t.Fatalf("file replay claims stream identity %q", got.Sig)
 	}
+	want.Sig = ""
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("replayed phase stream differs from the generator's")
+	}
+}
+
+// streamOf copies core's accesses out of a phase stream.
+func streamOf(s *workload.PhaseStream, core int) []workload.Access {
+	var out []workload.Access
+	for i := s.Off[core]; i < s.Off[core+1]; i++ {
+		out = append(out, s.At(i))
+	}
+	return out
 }
 
 func TestSourceResetRewinds(t *testing.T) {
@@ -75,11 +85,14 @@ func TestSourceResetRewinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := src.Next(0)
-	src.Next(0)
-	src.ResetPhase(0)
-	if got := src.Next(0); got != first {
-		t.Fatalf("reset did not rewind: %+v vs %+v", got, first)
+	first := streamOf(src.PhaseStream(0, 2000), 0)
+	// A different budget rebuilds from the file; coming back must start
+	// from the first record again.
+	if longer := streamOf(src.PhaseStream(0, 4000), 0); !reflect.DeepEqual(longer[:len(first)], first) {
+		t.Fatal("larger budget does not extend the same stream")
+	}
+	if got := streamOf(src.PhaseStream(0, 2000), 0); !reflect.DeepEqual(got, first) {
+		t.Fatal("stream did not rewind")
 	}
 }
 
@@ -90,16 +103,21 @@ func TestSourceWrapsExhaustedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := src.Next(0)
-	// Drain far past the stream length; must not panic and must wrap.
-	seenFirstAgain := false
-	for i := 0; i < 10000; i++ {
-		if src.Next(0) == first {
-			seenFirstAgain = true
-		}
+	file := streamOf(src.PhaseStream(0, 200), 0)
+	// Ask far past the file's stream length; it must wrap, repeating the
+	// file's records from the start.
+	long := streamOf(src.PhaseStream(0, 200_000), 0)
+	var instr uint64
+	for _, a := range long {
+		instr += uint64(a.Gap)
 	}
-	if !seenFirstAgain {
-		t.Fatal("stream did not wrap")
+	if instr < 200_000 || len(long) <= 2*len(file) {
+		t.Fatalf("stream of %d records (%d instructions) did not fill the budget", len(long), instr)
+	}
+	for i, a := range long {
+		if a != file[i%len(file)] {
+			t.Fatalf("record %d is not the wrapped file record %d", i, i%len(file))
+		}
 	}
 }
 
@@ -122,12 +140,12 @@ func TestSourcePhaseWrapAcrossFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ResetPhase(0)
-	a0 := src.Next(3)
-	src.ResetPhase(1)
-	src.ResetPhase(2) // wraps to file 0
-	if got := src.Next(3); got != a0 {
-		t.Fatalf("phase wrap broken: %+v vs %+v", got, a0)
+	a0 := streamOf(src.PhaseStream(0, 1000), 3)
+	if reflect.DeepEqual(streamOf(src.PhaseStream(1, 1000), 3), a0) {
+		t.Fatal("phase 1 replays phase 0's file")
+	}
+	if got := streamOf(src.PhaseStream(2, 1000), 3); !reflect.DeepEqual(got, a0) { // wraps to file 0
+		t.Fatal("phase wrap broken")
 	}
 }
 

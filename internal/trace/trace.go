@@ -178,10 +178,13 @@ func (r *Reader) Read() (Record, error) {
 	return rec, nil
 }
 
-// DumpPhase writes one phase of a generator's streams (all cores,
-// round-robin, each up to instrBudget instructions) to w. It returns the
-// number of records written.
+// DumpPhase writes one phase of a generator's recorded streams (all
+// cores, round-robin, each up to instrBudget instructions) to w. It
+// returns the number of records written.
 func DumpPhase(gen *workload.Generator, phase int, instrBudget uint64, w io.Writer) (uint64, error) {
+	if instrBudget == 0 {
+		return 0, errors.New("trace: zero instruction budget")
+	}
 	tw, err := NewWriter(w, Header{
 		Workload: gen.Spec().Name,
 		Cores:    gen.NumCores(),
@@ -191,22 +194,19 @@ func DumpPhase(gen *workload.Generator, phase int, instrBudget uint64, w io.Writ
 	if err != nil {
 		return 0, err
 	}
-	gen.ResetPhase(phase)
-	instr := make([]uint64, gen.NumCores())
-	active := gen.NumCores()
-	for active > 0 {
-		for c := 0; c < gen.NumCores(); c++ {
-			if instr[c] >= instrBudget {
+	s := gen.PhaseStream(phase, instrBudget)
+	cur := append([]int32(nil), s.Off[:gen.NumCores()]...)
+	for active := true; active; {
+		active = false
+		for c := range cur {
+			if cur[c] == s.Off[c+1] {
 				continue
 			}
-			a := gen.Next(c)
-			instr[c] += uint64(a.Gap)
-			if instr[c] >= instrBudget {
-				active--
-			}
-			if err := tw.Write(Record{Core: uint16(c), Access: a}); err != nil {
+			active = true
+			if err := tw.Write(Record{Core: uint16(c), Access: s.At(cur[c])}); err != nil {
 				return tw.Count(), err
 			}
+			cur[c]++
 		}
 	}
 	return tw.Count(), tw.Flush()

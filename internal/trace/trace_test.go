@@ -122,6 +122,9 @@ func TestDumpPhaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
+	if _, err := DumpPhase(gen, 2, 0, &buf); err == nil {
+		t.Fatal("dumped a phase at a zero budget")
+	}
 	n, err := DumpPhase(gen, 2, 5000, &buf)
 	if err != nil {
 		t.Fatal(err)

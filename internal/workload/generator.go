@@ -52,7 +52,7 @@ type Generator struct {
 	// replays it via per-core cursors instead of drawing.
 	budget uint64
 	sig    string
-	stream *phaseStream
+	stream *PhaseStream
 	cursor []int32
 }
 
@@ -344,11 +344,11 @@ const maxGap = 1 << 16
 func (g *Generator) Next(core int) Access {
 	if s := g.stream; s != nil {
 		i := g.cursor[core]
-		if i >= s.off[core+1] {
+		if i >= s.Off[core+1] {
 			streamOverrun(core)
 		}
 		g.cursor[core] = i + 1
-		return Access{Gap: s.gaps[i], Page: s.pages[i], Block: s.blocks[i], Write: s.writes[i]}
+		return s.At(i)
 	}
 	return g.generate(core)
 }

@@ -13,9 +13,9 @@ import (
 // Generator. Step B replays every phase once and step C replays each
 // phase once per timing window, so without caching the same exponential
 // draws, class searches and page picks are recomputed dozens of times.
-// When a consumer declares its per-core instruction budget
-// (SetPhaseBudget), ResetPhase records the stream once into a compact
-// struct-of-arrays buffer and every later replay is pure array reads.
+// PhaseStream (or SetPhaseBudget+ResetPhase) records the stream once,
+// at the consumer's per-core instruction budget, into a compact
+// struct-of-arrays buffer, and every later replay is pure array reads.
 //
 // Generator pool: runner workers previously built a fresh Generator per
 // window, re-deriving page→class and page→sharer assignments each time.
@@ -23,20 +23,68 @@ import (
 // shape), and ResetPhase already rebuilds any phase-dependent drift
 // state, so a pooled generator is indistinguishable from a fresh one.
 
-// phaseStream is one phase's recorded miss stream for every core, in
+// PhaseStream is one phase's recorded miss stream for every core, in
 // struct-of-arrays layout: core c's accesses live at indices
-// [off[c], off[c+1]) of the four parallel arrays.
-type phaseStream struct {
-	off    []int32
-	gaps   []uint32
-	pages  []uint32
-	blocks []uint16
-	writes []bool
+// [Off[c], Off[c+1]) of the four parallel arrays, and each core's run
+// ends with the first access whose cumulative Gap reaches the
+// recording budget. It is the one form in which steps B and C read
+// accesses (core.AccessSource).
+//
+// Streams are shared — the stream cache hands one PhaseStream to every
+// consumer of the same (spec, shape, budget, phase) — so they are
+// read-only once built.
+type PhaseStream struct {
+	// Sig names the stream's content: equal non-empty signatures mean
+	// byte-identical streams, which is what step B's ingest memo keys
+	// on. Empty means the source vouches for no identity, and the memo
+	// is skipped.
+	Sig    string
+	Off    []int32
+	Gaps   []uint32
+	Pages  []uint32
+	Blocks []uint16
+	Writes []bool
 }
 
-func (s *phaseStream) bytes() int64 {
-	return int64(len(s.off))*4 + int64(len(s.gaps))*4 +
-		int64(len(s.pages))*4 + int64(len(s.blocks))*2 + int64(len(s.writes))
+// At returns the access at flat index i.
+func (s *PhaseStream) At(i int32) Access {
+	return Access{Gap: s.Gaps[i], Page: s.Pages[i], Block: s.Blocks[i], Write: s.Writes[i]}
+}
+
+func (s *PhaseStream) bytes() int64 {
+	return int64(len(s.Off))*4 + int64(len(s.Gaps))*4 +
+		int64(len(s.Pages))*4 + int64(len(s.Blocks))*2 + int64(len(s.Writes))
+}
+
+// RecordStream builds a phase stream by drawing each core's accesses
+// from next, core by core, until the core's cumulative gap reaches
+// budget. The result has an empty Sig.
+func RecordStream(cores int, budget uint64, next func(core int) Access) *PhaseStream {
+	s := &PhaseStream{Off: make([]int32, cores+1)}
+	for core := 0; core < cores; core++ {
+		s.Off[core] = int32(len(s.Gaps))
+		var cum uint64
+		for cum < budget {
+			a := next(core)
+			cum += uint64(a.Gap)
+			s.Gaps = append(s.Gaps, a.Gap)
+			s.Pages = append(s.Pages, a.Page)
+			s.Blocks = append(s.Blocks, a.Block)
+			s.Writes = append(s.Writes, a.Write)
+		}
+		if core == 0 && cores > 1 {
+			// Cores draw from the same mixture, so core 0's access count
+			// predicts the total well; pre-growing here avoids repeated
+			// multi-MB reallocation copies as the remaining cores append.
+			want := len(s.Gaps) * cores * 9 / 8
+			s.Gaps = append(make([]uint32, 0, want), s.Gaps...)
+			s.Pages = append(make([]uint32, 0, want), s.Pages...)
+			s.Blocks = append(make([]uint16, 0, want), s.Blocks...)
+			s.Writes = append(make([]bool, 0, want), s.Writes...)
+		}
+	}
+	s.Off[cores] = int32(len(s.Gaps))
+	return s
 }
 
 // streamKey identifies one cached stream. The sig string folds in the
@@ -66,12 +114,12 @@ var streamCache struct {
 }
 
 type streamEntry struct {
-	s       *phaseStream
+	s       *PhaseStream
 	lastUse int64
 }
 
 // lookupStream returns the cached stream for key, or nil.
-func lookupStream(key streamKey) *phaseStream {
+func lookupStream(key streamKey) *PhaseStream {
 	c := &streamCache
 	c.Lock()
 	defer c.Unlock()
@@ -87,7 +135,7 @@ func lookupStream(key streamKey) *phaseStream {
 // storeStream inserts s, evicting least-recently-used entries to stay
 // under the byte cap. Streams larger than the cap are simply not cached
 // (the caller keeps its reference either way).
-func storeStream(key streamKey, s *phaseStream) {
+func storeStream(key streamKey, s *PhaseStream) {
 	sz := s.bytes()
 	if sz > streamCacheCap {
 		return
@@ -145,77 +193,46 @@ func (g *Generator) SetPhaseBudget(budget uint64) {
 	g.stream = nil
 }
 
+// PhaseStream returns phase's recorded stream at the given per-core
+// instruction budget, from the stream cache under the same key
+// SetPhaseBudget+ResetPhase use — recording it on a miss — and leaves
+// the generator in replay mode at the start of phase.
+func (g *Generator) PhaseStream(phase int, budget uint64) *PhaseStream {
+	g.SetPhaseBudget(budget)
+	g.ResetPhase(phase)
+	return g.stream
+}
+
 // loadStream points the generator at the cached stream for phase,
 // recording it on a cache miss, and rewinds every core's cursor.
 func (g *Generator) loadStream(phase int) {
 	key := streamKey{sig: g.sig, phase: phase}
 	s := lookupStream(key)
 	if s == nil {
-		s = g.recordStream()
+		// Recording consumes the per-core RNG streams, which is safe
+		// because replay mode never touches them again this phase.
+		s = RecordStream(len(g.rngs), g.budget, g.generate)
+		s.Sig = g.sig
 		storeStream(key, s)
 	}
 	g.stream = s
 	if g.cursor == nil {
 		g.cursor = make([]int32, len(g.rngs))
 	}
-	copy(g.cursor, s.off[:len(g.rngs)])
+	copy(g.cursor, s.Off[:len(g.rngs)])
 }
 
-// recordStream generates every core's stream for the current phase
-// until the per-core cumulative gap reaches the budget, capturing it in
-// struct-of-arrays form. It consumes the per-core RNG streams, which is
-// safe because replay mode never touches them again this phase.
-func (g *Generator) recordStream() *phaseStream {
-	cores := len(g.rngs)
-	s := &phaseStream{off: make([]int32, cores+1)}
-	for core := 0; core < cores; core++ {
-		s.off[core] = int32(len(s.gaps))
-		var cum uint64
-		for cum < g.budget {
-			a := g.generate(core)
-			cum += uint64(a.Gap)
-			s.gaps = append(s.gaps, a.Gap)
-			s.pages = append(s.pages, a.Page)
-			s.blocks = append(s.blocks, a.Block)
-			s.writes = append(s.writes, a.Write)
-		}
-		if core == 0 && cores > 1 {
-			// Cores draw from the same mixture, so core 0's access count
-			// predicts the total well; pre-growing here avoids repeated
-			// multi-MB reallocation copies as the remaining cores append.
-			want := len(s.gaps) * cores * 9 / 8
-			s.gaps = append(make([]uint32, 0, want), s.gaps...)
-			s.pages = append(make([]uint32, 0, want), s.pages...)
-			s.blocks = append(make([]uint16, 0, want), s.blocks...)
-			s.writes = append(make([]bool, 0, want), s.writes...)
-		}
-	}
-	s.off[cores] = int32(len(s.gaps))
-	return s
-}
-
-// ReplayArrays exposes the recorded stream bound by the last ResetPhase
-// for bulk replay: core c's accesses are pages[off[c]:off[c+1]] with
-// parallel writes flags. It returns ok=false unless a stream is bound
-// and was recorded at exactly the requested budget — the caller's
-// consumption contract (one access per round until the per-core budget
-// is crossed) only matches the recorded lengths at equal budgets.
-// Callers must treat the arrays as read-only.
+// ReplayArrays exposes the page and write arrays of the stream bound
+// by the last ResetPhase: core c's accesses are pages[off[c]:off[c+1]]
+// with parallel writes flags. It returns ok=false unless a stream is
+// bound and was recorded at exactly the requested budget. Callers must
+// treat the arrays as read-only.
 func (g *Generator) ReplayArrays(budget uint64) (off []int32, pages []uint32, writes []bool, ok bool) {
 	s := g.stream
 	if s == nil || g.budget != budget {
 		return nil, nil, nil, false
 	}
-	return s.off, s.pages, s.writes, true
-}
-
-// StreamSig returns the identity of the recorded phase streams — the
-// stream-cache signature folding in the Spec, the system shape and the
-// recording budget — with ok=false when no phase budget is declared.
-// Two generators with equal signatures replay byte-identical streams
-// for every phase, which is what step B's ingest memo keys on.
-func (g *Generator) StreamSig() (sig string, ok bool) {
-	return g.sig, g.sig != ""
+	return s.Off, s.Pages, s.Writes, true
 }
 
 //starnuma:coldpath only on replay overrun, which is a consumer bug
