@@ -124,19 +124,7 @@ func main() {
 	fmt.Fprintf(w, "completed in %v (%d runs, %d windows, cache %d hit / %d miss)\n",
 		elapsed.Round(time.Second), m.RunsDone, m.WindowsDone, m.CacheHits, m.CacheMisses)
 
-	if cli.Metrics != "" {
-		if err := r.WriteManifest(cli.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "expall: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if cli.Attrib != "" {
-		if err := r.WriteStallProfiles(cli.Attrib); err != nil {
-			fmt.Fprintf(os.Stderr, "expall: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if err := r.WriteTrace(); err != nil {
+	if err := cli.WriteOutputs(r); err != nil {
 		fmt.Fprintf(os.Stderr, "expall: %v\n", err)
 		os.Exit(1)
 	}

@@ -101,19 +101,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(out)
-	if cli.Metrics != "" {
-		if err := r.WriteManifest(cli.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if cli.Attrib != "" {
-		if err := r.WriteStallProfiles(cli.Attrib); err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if err := r.WriteTrace(); err != nil {
+	if err := cli.WriteOutputs(r); err != nil {
 		fmt.Fprintf(os.Stderr, "starnuma: %v\n", err)
 		os.Exit(1)
 	}

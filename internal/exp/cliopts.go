@@ -129,6 +129,23 @@ func (f *CLIFlags) Options(progressW io.Writer) (Options, error) {
 	return opts, nil
 }
 
+// WriteOutputs writes the run artifacts the flags ask for once r has
+// run its experiments: the -metrics manifest, the -attrib stall
+// profiles and the -trace timeline.
+func (f *CLIFlags) WriteOutputs(r *Runner) error {
+	if f.Metrics != "" {
+		if err := r.WriteManifest(f.Metrics); err != nil {
+			return err
+		}
+	}
+	if f.Attrib != "" {
+		if err := r.WriteStallProfiles(f.Attrib); err != nil {
+			return err
+		}
+	}
+	return r.WriteTrace()
+}
+
 // ParsePolicyArg parses a -policy value: a registry name, optionally
 // followed by ":" and a JSON object of parameter overrides. The name and
 // parameter keys are validated against the migrate registry, so typos

@@ -12,6 +12,7 @@ import (
 
 	"starnuma/internal/core"
 	"starnuma/internal/runner"
+	"starnuma/internal/stats"
 	"starnuma/internal/workload"
 )
 
@@ -134,9 +135,9 @@ func (o Options) specs() ([]workload.Spec, error) {
 // Runner memoises simulation results so experiments sharing a
 // configuration (e.g. the baseline used by Figs. 8-12) simulate it
 // once, and routes execution through internal/runner's parallel
-// scheduler: each figure prefetches its (variant × workload) grid as
-// one wave of suite-level jobs, and each job's step-C windows fan out
-// as window-level jobs.
+// scheduler: each experiment fetches the (variant, workload) cells it
+// reads in one call, run as one wave of suite-level jobs, and each
+// job's step-C windows fan out as window-level jobs.
 type Runner struct {
 	opts Options
 	exec *runner.Runner
@@ -164,32 +165,24 @@ func (r *Runner) Options() Options { return r.opts }
 // Exec returns the underlying execution scheduler (progress metrics).
 func (r *Runner) Exec() *runner.Runner { return r.exec }
 
-func (r *Runner) memoGet(key string) (*core.Result, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	res, ok := r.memo[key]
-	return res, ok
+// memoRun is one memoised simulation under its "variant|workload" key.
+type memoRun struct {
+	key string
+	res *core.Result
 }
 
-func (r *Runner) memoPut(key string, res *core.Result) {
+// memoRuns snapshots the memo sorted by key, so the artifacts built
+// from it (manifest, stall profiles, trace) encode identical run sets
+// byte-identically.
+func (r *Runner) memoRuns() []memoRun {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.memo[key] = res
-}
-
-// run executes (or recalls) one (variant, workload) simulation. The
-// variant key must uniquely identify sys+cfg.
-func (r *Runner) run(variant string, sys core.SystemConfig, cfg core.SimConfig, spec workload.Spec) (*core.Result, error) {
-	key := variant + "|" + spec.Name
-	if res, ok := r.memoGet(key); ok {
-		return res, nil
+	runs := make([]memoRun, 0, len(r.memo))
+	for k, res := range r.memo {
+		runs = append(runs, memoRun{k, res})
 	}
-	res, err := r.exec.Run(variant+"/"+spec.Name, sys, cfg, spec)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", variant, spec.Name, err)
-	}
-	r.memoPut(key, res)
-	return res, nil
+	r.mu.Unlock()
+	sort.Slice(runs, func(i, j int) bool { return runs[i].key < runs[j].key })
+	return runs
 }
 
 // variant bundles a named (system, methodology) configuration. The name
@@ -200,42 +193,69 @@ type variant struct {
 	cfg  core.SimConfig
 }
 
-// runVariant recalls or computes one (variant, workload) pair.
-func (r *Runner) runVariant(v variant, spec workload.Spec) (*core.Result, error) {
-	return r.run(v.name, v.sys, v.cfg, spec)
+// cell is one (variant, workload) simulation an experiment reads.
+type cell struct {
+	v    variant
+	spec workload.Spec
 }
 
-// prefetch fans every not-yet-memoised (variant × workload) pair
-// through the parallel scheduler in one wave; subsequent runVariant
-// calls for these pairs are memo hits. This is the suite-level job
-// decomposition: figures call it before their sequential row loops.
-func (r *Runner) prefetch(specs []workload.Spec, vs ...variant) error {
+func (c cell) key() string { return c.v.name + "|" + c.spec.Name }
+
+// results returns the result of every cell in request order. The cells
+// not yet memoised run as one wave of suite-level jobs through the
+// parallel scheduler, so an experiment declares everything it reads and
+// fetches it in one call.
+func (r *Runner) results(cells []cell) ([]*core.Result, error) {
+	out := make([]*core.Result, len(cells))
 	var jobs []runner.Job
-	var keys []string
+	var pending []int // the cell index of each job
+	r.mu.Lock()
+	for i, c := range cells {
+		if res, ok := r.memo[c.key()]; ok {
+			out[i] = res
+			continue
+		}
+		pending = append(pending, i)
+		jobs = append(jobs, runner.Job{
+			Label: c.v.name + "/" + c.spec.Name,
+			Sys:   c.v.sys, Cfg: c.v.cfg, Spec: c.spec,
+		})
+	}
+	r.mu.Unlock()
+	if len(jobs) == 0 {
+		return out, nil
+	}
+	ran, err := r.exec.RunAll(jobs)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for j, i := range pending {
+		out[i] = ran[j]
+		r.memo[cells[i].key()] = ran[j]
+	}
+	return out, nil
+}
+
+// grid fetches every (variant × workload) cell in one call and returns
+// g[v][s], variants and specs in argument order.
+func (r *Runner) grid(specs []workload.Spec, vs ...variant) ([][]*core.Result, error) {
+	cells := make([]cell, 0, len(vs)*len(specs))
 	for _, v := range vs {
 		for _, spec := range specs {
-			key := v.name + "|" + spec.Name
-			if _, ok := r.memoGet(key); ok {
-				continue
-			}
-			jobs = append(jobs, runner.Job{
-				Label: v.name + "/" + spec.Name,
-				Sys:   v.sys, Cfg: v.cfg, Spec: spec,
-			})
-			keys = append(keys, key)
+			cells = append(cells, cell{v, spec})
 		}
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
-	results, err := r.exec.RunAll(jobs)
+	flat, err := r.results(cells)
 	if err != nil {
-		return fmt.Errorf("exp: prefetch: %w", err)
+		return nil, err
 	}
-	for i, res := range results {
-		r.memoPut(keys[i], res)
+	g := make([][]*core.Result, len(vs))
+	for i := range g {
+		g[i] = flat[i*len(specs) : (i+1)*len(specs)]
 	}
-	return nil
+	return g, nil
 }
 
 // baselineVariant is the paper's favoured baseline: no pool, perfect
@@ -247,29 +267,71 @@ func (r *Runner) baselineVariant() variant {
 }
 
 // starnumaVariant is the default StarNUMA configuration (T16 tracker).
-// A non-default Options.Sim.Policy (the -policy flag) is respected and
-// suffixed into the variant name, so the memo key still uniquely
-// identifies the configuration; the default keeps the historical name
-// and therefore the historical cache keys.
 func (r *Runner) starnumaVariant() variant {
-	cfg := r.opts.Sim
-	name := "starnuma-t16"
+	return pooled("starnuma-t16", core.StarNUMASystem(), r.opts.Sim)
+}
+
+// pooled names a StarNUMA-side variant that runs the policy cfg carries
+// from Options.Sim.Policy (the -policy flag). The default policy keeps
+// the plain name and therefore the historical cache keys; any other
+// policy is suffixed "@<tag>" into the name, so the memo key still
+// uniquely identifies the configuration.
+func pooled(name string, sys core.SystemConfig, cfg core.SimConfig) variant {
 	if tag := cfg.Policy.Tag(); tag != "starnuma" {
 		name += "@" + tag
 	} else {
 		cfg.Policy = core.PolicyStarNUMA
 	}
-	return variant{name, core.StarNUMASystem(), cfg}
+	return variant{name, sys, cfg}
 }
 
-// baseline runs the paper's favoured baseline for one workload.
-func (r *Runner) baseline(spec workload.Spec) (*core.Result, error) {
-	return r.runVariant(r.baselineVariant(), spec)
+// gmeanLabels is the label column of a speedup table: one row per
+// workload, then the gmean row.
+func gmeanLabels(specs []workload.Spec) []string {
+	return append(specNames(specs), "gmean")
 }
 
-// starnuma runs the default StarNUMA configuration for one workload.
-func (r *Runner) starnuma(spec workload.Spec) (*core.Result, error) {
-	return r.runVariant(r.starnumaVariant(), spec)
+func specNames(specs []workload.Spec) []string {
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.Name
+	}
+	return out
+}
+
+// speedupCol is one "x(num/den) per row, then the gmean row" column.
+func speedupCol(num, den []*core.Result) []string {
+	vs := make([]float64, len(num))
+	out := make([]string, len(num)+1)
+	for i := range num {
+		vs[i] = core.Speedup(num[i], den[i])
+		out[i] = x(vs[i])
+	}
+	out[len(num)] = x(stats.GeoMean(vs))
+	return out
+}
+
+// perRow is a column of one formatted cell per result, blank in the
+// gmean row.
+func perRow(rs []*core.Result, f func(*core.Result) string) []string {
+	out := make([]string, len(rs)+1)
+	for i, res := range rs {
+		out[i] = f(res)
+	}
+	return out
+}
+
+// addColumns appends one row per label, row i taking cols[c][i] as its
+// cell c+1. Cells past the last label are dropped, so a label column
+// without "gmean" leaves the table without its gmean row.
+func (t *Table) addColumns(labels []string, cols ...[]string) {
+	for i, l := range labels {
+		row := []string{l}
+		for _, c := range cols {
+			row = append(row, c[i])
+		}
+		t.Rows = append(t.Rows, row)
+	}
 }
 
 // formatting helpers

@@ -8,7 +8,15 @@ import (
 	"testing"
 
 	"starnuma/internal/core"
+	"starnuma/internal/workload"
 )
+
+// memoPut seeds the runner's memo directly.
+func (r *Runner) memoPut(key string, res *core.Result) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.memo[key] = res
+}
 
 // tinyOptions keeps integration tests fast.
 func tinyOptions(workloads ...string) Options {
@@ -115,18 +123,70 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestRunnerCaching(t *testing.T) {
-	r := NewRunner(tinyOptions("POA"))
+	r := NewRunner(tinyOptions("POA", "BFS"))
 	specs, _ := r.opts.specs()
-	a, err := r.baseline(specs[0])
+	bfs, poa := specs[0], specs[1] // suite order
+	base, sn := r.baselineVariant(), r.starnumaVariant()
+	a, err := r.grid([]workload.Spec{poa}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.baseline(specs[0])
+	started := r.Exec().Metrics().RunsStarted
+
+	// A repeated request for memoised cells returns the same results
+	// and starts no runs.
+	b, err := r.grid([]workload.Spec{poa}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if a[0][0] != b[0][0] {
 		t.Fatal("cache miss on identical run")
+	}
+	if got := r.Exec().Metrics().RunsStarted; got != started {
+		t.Fatalf("memoised request started %d runs", got-started)
+	}
+
+	// A mixed request shaped like RunScenario's — two variants over
+	// different spec lists, memoised and fresh cells interleaved —
+	// returns results in request order.
+	res, err := r.results([]cell{{sn, poa}, {sn, bfs}, {base, poa}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[2] != a[0][0] {
+		t.Error("memoised baseline cell not returned in place")
+	}
+	for i, want := range []struct{ workload, policy string }{
+		{"POA", "starnuma"}, {"BFS", "starnuma"}, {"POA", "baseline-perfect"},
+	} {
+		if res[i].Workload != want.workload || res[i].Policy.String() != want.policy {
+			t.Errorf("result %d = %s/%s, want %s/%s", i,
+				res[i].Workload, res[i].Policy, want.workload, want.policy)
+		}
+	}
+	again, err := r.results([]cell{{sn, bfs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != res[1] {
+		t.Error("fresh cell not memoised under its own key")
+	}
+}
+
+// TestPolicyAppliesToEveryPooledColumn pins that Options.Sim.Policy
+// (the -policy flag) reaches every StarNUMA-side variant of a figure,
+// not only the default T16 column.
+func TestPolicyAppliesToEveryPooledColumn(t *testing.T) {
+	opts := tinyOptions("BFS")
+	opts.Sim.Policy = core.PolicyNone
+	r := NewRunner(opts)
+	if _, err := r.Fig12(); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range r.Manifest().Runs {
+		if !strings.HasPrefix(run.Key, "baseline|") && run.Policy != "none" {
+			t.Errorf("%s ran policy %s, want none", run.Key, run.Policy)
+		}
 	}
 }
 

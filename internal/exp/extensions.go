@@ -6,7 +6,6 @@ import (
 	"starnuma/internal/core"
 	"starnuma/internal/migrate"
 	"starnuma/internal/pool"
-	"starnuma/internal/stats"
 	"starnuma/internal/workload"
 )
 
@@ -37,48 +36,18 @@ func (r *Runner) ExtReplication() (*Table, error) {
 	cfgN := cfgR
 	cfgN.Replication.MaxWriteFrac = 1.0
 	cfgB := r.opts.Sim
-	cfgB.Policy = core.PolicyStarNUMA
 	cfgB.Replication = cfgR.Replication
 	replV := variant{"baseline-repl", core.BaselineSystem(), cfgR}
 	naiveV := variant{"baseline-repl-naive", core.BaselineSystem(), cfgN}
-	bothV := variant{"starnuma-repl", core.StarNUMASystem(), cfgB}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), replV, naiveV, bothV); err != nil {
+	bothV := pooled("starnuma-repl", core.StarNUMASystem(), cfgB)
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), replV, naiveV, bothV)
+	if err != nil {
 		return nil, err
 	}
-	var vRepl, vNaive, vSN, vBoth []float64
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rRepl, err := r.runVariant(replV, spec)
-		if err != nil {
-			return nil, err
-		}
-		rNaive, err := r.runVariant(naiveV, spec)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		rBoth, err := r.runVariant(bothV, spec)
-		if err != nil {
-			return nil, err
-		}
-		a, n, b, c := core.Speedup(rRepl, rb), core.Speedup(rNaive, rb),
-			core.Speedup(rs, rb), core.Speedup(rBoth, rb)
-		vRepl, vNaive, vSN, vBoth = append(vRepl, a), append(vNaive, n), append(vSN, b), append(vBoth, c)
-		t.Rows = append(t.Rows, []string{
-			spec.Name, x(a), x(n), x(b), x(c),
-			fmt.Sprintf("%d", rNaive.ReplicatedPages),
-			fmt.Sprintf("%d", rNaive.ReplicaWriteStalls),
-		})
-	}
-	t.Rows = append(t.Rows, []string{"gmean",
-		x(stats.GeoMean(vRepl)), x(stats.GeoMean(vNaive)),
-		x(stats.GeoMean(vSN)), x(stats.GeoMean(vBoth)), "", ""})
+	t.addColumns(gmeanLabels(specs),
+		speedupCol(g[2], g[0]), speedupCol(g[3], g[0]), speedupCol(g[1], g[0]), speedupCol(g[4], g[0]),
+		perRow(g[3], func(res *core.Result) string { return fmt.Sprint(res.ReplicatedPages) }),
+		perRow(g[3], func(res *core.Result) string { return fmt.Sprint(res.ReplicaWriteStalls) }))
 	return t, nil
 }
 
@@ -113,56 +82,21 @@ func (r *Runner) Ext32Sockets() (*Table, error) {
 
 	cfgB := r.opts.Sim
 	cfgB.Policy = core.PolicyPerfectBaseline
-	cfgS := r.opts.Sim
-	cfgS.Policy = core.PolicyStarNUMA
 	// 8 sockets: Algorithm 1's "half the system" threshold is 4.
-	cfgS8 := cfgS
+	cfgS8 := r.opts.Sim
 	cfgS8.Migration.PoolSharerThreshold = 4
-	cfgS32 := cfgS
+	cfgS32 := r.opts.Sim
 	cfgS32.Migration.PoolSharerThreshold = 16
 	b8 := variant{"baseline-8", base8, cfgB}
-	s8 := variant{"starnuma-8", sn8, cfgS8}
+	s8 := pooled("starnuma-8", sn8, cfgS8)
 	b32 := variant{"baseline-32", base32, cfgB}
-	s32 := variant{"starnuma-32", sn32, cfgS32}
-	if err := r.prefetch(specs, b8, s8, r.baselineVariant(), r.starnumaVariant(), b32, s32); err != nil {
+	s32 := pooled("starnuma-32", sn32, cfgS32)
+	g, err := r.grid(specs, b8, s8, r.baselineVariant(), r.starnumaVariant(), b32, s32)
+	if err != nil {
 		return nil, err
 	}
-
-	var v8, v16, v32 []float64
-	for _, spec := range specs {
-		rb8, err := r.runVariant(b8, spec)
-		if err != nil {
-			return nil, err
-		}
-		rs8, err := r.runVariant(s8, spec)
-		if err != nil {
-			return nil, err
-		}
-
-		rb16, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rs16, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-
-		rb32, err := r.runVariant(b32, spec)
-		if err != nil {
-			return nil, err
-		}
-		rs32, err := r.runVariant(s32, spec)
-		if err != nil {
-			return nil, err
-		}
-
-		a, b, c := core.Speedup(rs8, rb8), core.Speedup(rs16, rb16), core.Speedup(rs32, rb32)
-		v8, v16, v32 = append(v8, a), append(v16, b), append(v32, c)
-		t.Rows = append(t.Rows, []string{spec.Name, x(a), x(b), x(c)})
-	}
-	t.Rows = append(t.Rows, []string{"gmean",
-		x(stats.GeoMean(v8)), x(stats.GeoMean(v16)), x(stats.GeoMean(v32))})
+	t.addColumns(gmeanLabels(specs),
+		speedupCol(g[1], g[0]), speedupCol(g[3], g[2]), speedupCol(g[5], g[4]))
 	return t, nil
 }
 
@@ -181,50 +115,25 @@ func (r *Runner) ExtSoftwareTracking() (*Table, error) {
 		Columns: []string{"workload", "hardware", "sample 5%", "sample 25%", "sample 100%", "faults@100%"},
 		Notes:   "§III-D1: practical software sample sizes cannot identify pool candidates at a sufficient rate; monitoring everything in software is fault-prohibitive — hence hardware support",
 	}
-	fracs := []float64{0.05, 0.25, 1.0}
-	swVariants := make([]variant, len(fracs))
-	for i, frac := range fracs {
+	vs := []variant{r.baselineVariant(), r.starnumaVariant()}
+	for _, frac := range []float64{0.05, 0.25, 1.0} {
 		cfg := r.opts.Sim
-		cfg.Policy = core.PolicyStarNUMA
 		cfg.SoftwareTracking = core.DefaultSoftwareTracking()
 		cfg.SoftwareTracking.Enable = true
 		cfg.SoftwareTracking.SampleFrac = frac
-		swVariants[i] = variant{fmt.Sprintf("starnuma-sw%.2f", frac), core.StarNUMASystem(), cfg}
+		vs = append(vs, pooled(fmt.Sprintf("starnuma-sw%.2f", frac), core.StarNUMASystem(), cfg))
 	}
-	if err := r.prefetch(specs, append([]variant{r.baselineVariant(), r.starnumaVariant()}, swVariants...)...); err != nil {
+	g, err := r.grid(specs, vs...)
+	if err != nil {
 		return nil, err
 	}
-	var gms [][]float64 = make([][]float64, 1+len(fracs))
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		hw, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{spec.Name, x(core.Speedup(hw, rb))}
-		gms[0] = append(gms[0], core.Speedup(hw, rb))
-		var lastFaults uint64
-		for i := range fracs {
-			res, err := r.runVariant(swVariants[i], spec)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, x(core.Speedup(res, rb)))
-			gms[1+i] = append(gms[1+i], core.Speedup(res, rb))
-			lastFaults = res.PageFaults
-		}
-		row = append(row, fmt.Sprintf("%d", lastFaults))
-		t.Rows = append(t.Rows, row)
+	var cols [][]string
+	for _, sn := range g[1:] {
+		cols = append(cols, speedupCol(sn, g[0]))
 	}
-	gm := []string{"gmean"}
-	for _, vs := range gms {
-		gm = append(gm, x(stats.GeoMean(vs)))
-	}
-	gm = append(gm, "")
-	t.Rows = append(t.Rows, gm)
+	full := g[len(g)-1] // the 100% sample
+	cols = append(cols, perRow(full, func(res *core.Result) string { return fmt.Sprint(res.PageFaults) }))
+	t.addColumns(gmeanLabels(specs), cols...)
 	return t, nil
 }
 
@@ -251,17 +160,9 @@ func (r *Runner) ExtDrift() (*Table, error) {
 	cfgS := r.opts.Sim
 	cfgS.Policy = core.PolicyNone
 	cfgS.StaticOracle = true
-	// StarNUMA's own policy on the pool-equipped system.
-	cfgD := r.opts.Sim
-	cfgD.Policy = core.PolicyStarNUMA
 
 	drifts := []float64{0, 0.25, 0.5}
-	type driftRow struct {
-		drift            float64
-		spec             workload.Spec
-		dyn, stat, starn variant
-	}
-	var rows []driftRow
+	var cells []cell // per drift: dynamic, static, StarNUMA
 	for _, drift := range drifts {
 		spec, err := workload.ByName("POA", r.opts.Scale)
 		if err != nil {
@@ -273,34 +174,20 @@ func (r *Runner) ExtDrift() (*Table, error) {
 		// stale most of the time.
 		spec.DriftPeriod = 2
 		spec.Name = fmt.Sprintf("POA-drift%.0f%%", 100*drift)
-		rows = append(rows, driftRow{
-			drift: drift,
-			spec:  spec,
-			dyn:   variant{"drift-dynamic-" + spec.Name, core.BaselineSystem(), cfgB},
-			stat:  variant{"drift-static-" + spec.Name, core.BaselineSystem(), cfgS},
-			starn: variant{"drift-starnuma-" + spec.Name, core.StarNUMASystem(), cfgD},
-		})
+		cells = append(cells,
+			cell{variant{"drift-dynamic-" + spec.Name, core.BaselineSystem(), cfgB}, spec},
+			cell{variant{"drift-static-" + spec.Name, core.BaselineSystem(), cfgS}, spec},
+			// StarNUMA's own policy on the pool-equipped system.
+			cell{pooled("drift-starnuma-"+spec.Name, core.StarNUMASystem(), r.opts.Sim), spec})
 	}
-	for _, row := range rows {
-		if err := r.prefetch([]workload.Spec{row.spec}, row.dyn, row.stat, row.starn); err != nil {
-			return nil, err
-		}
+	res, err := r.results(cells)
+	if err != nil {
+		return nil, err
 	}
-	for _, row := range rows {
-		rb, err := r.runVariant(row.dyn, row.spec)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := r.runVariant(row.stat, row.spec)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := r.runVariant(row.starn, row.spec)
-		if err != nil {
-			return nil, err
-		}
+	for i, drift := range drifts {
+		rb, rs, rd := res[3*i], res[3*i+1], res[3*i+2]
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f%%", 100*row.drift),
+			fmt.Sprintf("%.0f%%", 100*drift),
 			x(1.0), x(core.Speedup(rs, rb)), x(core.Speedup(rd, rb)),
 		})
 	}

@@ -5,7 +5,6 @@ import (
 
 	"starnuma/internal/core"
 	"starnuma/internal/fault"
-	"starnuma/internal/stats"
 )
 
 // faultScenarios are the canned degraded-mode plans the sweep compares,
@@ -46,48 +45,24 @@ func (r *Runner) FaultSweep() (*Table, error) {
 			"dead channel", "dead pool", "drained pages", "flap retries"},
 		Notes: "extension (§VI RAS): flaps/degradation shave the pool benefit; a dead DDR channel halves pool capacity and drains the overflow; a dead MHD drains everything and falls back to socket-only (StarNUMA-Halt) migration — every scenario completes, none panics",
 	}
-	scens := faultScenarios()
-	vs := make([]variant, len(scens))
-	for i, sc := range scens {
+	var vs []variant
+	for _, sc := range faultScenarios() {
 		cfg := r.opts.Sim
-		cfg.Policy = core.PolicyStarNUMA
 		cfg.Faults = sc.plan
-		vs[i] = variant{"faults-" + sc.name, core.StarNUMASystem(), cfg}
+		vs = append(vs, pooled("faults-"+sc.name, core.StarNUMASystem(), cfg))
 	}
-	if err := r.prefetch(specs, vs...); err != nil {
+	g, err := r.grid(specs, vs...)
+	if err != nil {
 		return nil, err
 	}
-	ratios := make([][]float64, len(scens)-1)
-	for _, spec := range specs {
-		base, err := r.runVariant(vs[0], spec)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{spec.Name, f3(base.IPC)}
-		var drained, retries uint64
-		for i := 1; i < len(scens); i++ {
-			res, err := r.runVariant(vs[i], spec)
-			if err != nil {
-				return nil, err
-			}
-			s := core.Speedup(res, base)
-			ratios[i-1] = append(ratios[i-1], s)
-			row = append(row, x(s))
-			if scens[i].name == "deadpool" {
-				drained = res.FaultDrainedPages
-			}
-			if scens[i].name == "flap" {
-				retries = res.FaultFlapRetries
-			}
-		}
-		row = append(row, fmt.Sprintf("%d", drained), fmt.Sprintf("%d", retries))
-		t.Rows = append(t.Rows, row)
+	cols := [][]string{perRow(g[0], func(res *core.Result) string { return f3(res.IPC) })}
+	for _, faulted := range g[1:] {
+		cols = append(cols, speedupCol(faulted, g[0]))
 	}
-	gm := []string{"gmean", ""}
-	for _, rs := range ratios {
-		gm = append(gm, x(stats.GeoMean(rs)))
-	}
-	gm = append(gm, "", "")
-	t.Rows = append(t.Rows, gm)
+	// g[1] is the flap scenario, the last one the dead pool.
+	cols = append(cols,
+		perRow(g[len(g)-1], func(res *core.Result) string { return fmt.Sprint(res.FaultDrainedPages) }),
+		perRow(g[1], func(res *core.Result) string { return fmt.Sprint(res.FaultFlapRetries) }))
+	t.addColumns(gmeanLabels(specs), cols...)
 	return t, nil
 }

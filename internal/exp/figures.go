@@ -152,18 +152,12 @@ func (r *Runner) Table3() (*Table, error) {
 	cfg1 := r.opts.Sim
 	cfg1.Policy = core.PolicyNone
 	single := variant{"single-socket", core.SingleSocketSystem(), cfg1}
-	if err := r.prefetch(specs, r.baselineVariant(), single); err != nil {
+	g, err := r.grid(specs, r.baselineVariant(), single)
+	if err != nil {
 		return nil, err
 	}
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		r1, err := r.runVariant(single, spec)
-		if err != nil {
-			return nil, err
-		}
+	for i, spec := range specs {
+		rb, r1 := g[0][i], g[1][i]
 		t.Rows = append(t.Rows, []string{
 			spec.Name, f3(rb.IPC), f3(r1.IPC), f2(rb.MPKI),
 			"", f2(spec.SingleSocketIPC), f2(spec.MPKI),
@@ -172,48 +166,24 @@ func (r *Runner) Table3() (*Table, error) {
 	return t, nil
 }
 
-// fig8data runs the three Fig. 8 systems for every workload.
-type fig8row struct {
-	spec    workload.Spec
-	base    *core.Result
-	t16, t0 *core.Result
-}
-
-func (r *Runner) fig8data() ([]fig8row, error) {
+// fig8data runs the three Fig. 8 systems for every workload: g[0] is
+// the baseline, g[1] StarNUMA with the T16 tracker, g[2] with T0.
+func (r *Runner) fig8data() ([]workload.Spec, [][]*core.Result, error) {
 	specs, err := r.opts.specs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg0 := r.opts.Sim
-	cfg0.Policy = core.PolicyStarNUMA
 	cfg0.Tracker = tracker.T0
-	t0v := variant{"starnuma-t0", core.StarNUMASystem(), cfg0}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), t0v); err != nil {
-		return nil, err
-	}
-	var rows []fig8row
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		r16, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		r0, err := r.runVariant(t0v, spec)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, fig8row{spec: spec, base: rb, t16: r16, t0: r0})
-	}
-	return rows, nil
+	t0v := pooled("starnuma-t0", core.StarNUMASystem(), cfg0)
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), t0v)
+	return specs, g, err
 }
 
 // Fig8a reproduces the speedup chart: StarNUMA (T16 and T0) over the
 // baseline.
 func (r *Runner) Fig8a() (*Table, error) {
-	data, err := r.fig8data()
+	specs, g, err := r.fig8data()
 	if err != nil {
 		return nil, err
 	}
@@ -223,21 +193,14 @@ func (r *Runner) Fig8a() (*Table, error) {
 		Columns: []string{"workload", "T16 speedup", "T0 speedup"},
 		Notes:   "T16 averages 1.54x (max 2.17x on SSSP); T0 captures most of it at 1.35x; POA 1.0x",
 	}
-	var s16, s0 []float64
-	for _, d := range data {
-		v16, v0 := core.Speedup(d.t16, d.base), core.Speedup(d.t0, d.base)
-		s16 = append(s16, v16)
-		s0 = append(s0, v0)
-		t.Rows = append(t.Rows, []string{d.spec.Name, x(v16), x(v0)})
-	}
-	t.Rows = append(t.Rows, []string{"gmean", x(stats.GeoMean(s16)), x(stats.GeoMean(s0))})
+	t.addColumns(gmeanLabels(specs), speedupCol(g[1], g[0]), speedupCol(g[2], g[0]))
 	return t, nil
 }
 
 // Fig8b reproduces the AMAT decomposition: unloaded latency plus
 // contention delay, baseline vs StarNUMA.
 func (r *Runner) Fig8b() (*Table, error) {
-	data, err := r.fig8data()
+	specs, g, err := r.fig8data()
 	if err != nil {
 		return nil, err
 	}
@@ -248,15 +211,15 @@ func (r *Runner) Fig8b() (*Table, error) {
 		Notes:   "StarNUMA reduces AMAT by 48% on average; bandwidth-bound SSSP/BFS are contention-dominated in the baseline",
 	}
 	var reductions []float64
-	for _, d := range data {
-		b, s := d.base.AMAT, d.t16.AMAT
+	for i, spec := range specs {
+		b, s := g[0][i].AMAT, g[1][i].AMAT
 		red := 0.0
 		if b.Measured() > 0 {
 			red = 1 - float64(s.Measured())/float64(b.Measured())
 		}
 		reductions = append(reductions, red)
 		t.Rows = append(t.Rows, []string{
-			d.spec.Name,
+			spec.Name,
 			ns(b.Unloaded().Nanos()), ns(b.Contention().Nanos()), ns(b.Measured().Nanos()),
 			ns(s.Unloaded().Nanos()), ns(s.Contention().Nanos()), ns(s.Measured().Nanos()),
 			pct(red),
@@ -268,7 +231,7 @@ func (r *Runner) Fig8b() (*Table, error) {
 
 // Fig8c reproduces the memory access breakdown by type.
 func (r *Runner) Fig8c() (*Table, error) {
-	data, err := r.fig8data()
+	specs, g, err := r.fig8data()
 	if err != nil {
 		return nil, err
 	}
@@ -286,16 +249,16 @@ func (r *Runner) Fig8c() (*Table, error) {
 			pct(fr[stats.Pool]), pct(fr[stats.BTSocket]), pct(fr[stats.BTPool]),
 		})
 	}
-	for _, d := range data {
-		addRow(d.spec.Name, "baseline", d.base)
-		addRow(d.spec.Name, "starnuma", d.t16)
+	for i, spec := range specs {
+		addRow(spec.Name, "baseline", g[0][i])
+		addRow(spec.Name, "starnuma", g[1][i])
 	}
 	return t, nil
 }
 
 // Table4 reproduces the fraction of migrations targeting the pool.
 func (r *Runner) Table4() (*Table, error) {
-	data, err := r.fig8data()
+	specs, g, err := r.fig8data()
 	if err != nil {
 		return nil, err
 	}
@@ -309,12 +272,12 @@ func (r *Runner) Table4() (*Table, error) {
 		"SSSP": "80%", "BFS": "100%", "CC": "99%", "TC": "80%",
 		"Masstree": "100%", "TPCC": "93%", "FMI": "47%", "POA": "0%",
 	}
-	for _, d := range data {
-		ms := d.t16.MigrStats
+	for i, spec := range specs {
+		ms := g[1][i].MigrStats
 		t.Rows = append(t.Rows, []string{
-			d.spec.Name, pct(ms.PoolFraction()),
+			spec.Name, pct(ms.PoolFraction()),
 			fmt.Sprintf("%d", ms.PagesToPool), fmt.Sprintf("%d", ms.PagesToSocket),
-			paperVals[d.spec.Name],
+			paperVals[spec.Name],
 		})
 	}
 	return t, nil
@@ -339,32 +302,12 @@ func (r *Runner) Fig9() (*Table, error) {
 	cfgStatic.Policy = core.PolicyNone
 	baseStatic := variant{"baseline-static", core.BaselineSystem(), cfgStatic}
 	snStatic := variant{"starnuma-static", core.StarNUMASystem(), cfgStatic}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), baseStatic, snStatic); err != nil {
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), baseStatic, snStatic)
+	if err != nil {
 		return nil, err
 	}
-	var bs, ss, sd []float64
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rbs, err := r.runVariant(baseStatic, spec)
-		if err != nil {
-			return nil, err
-		}
-		rss, err := r.runVariant(snStatic, spec)
-		if err != nil {
-			return nil, err
-		}
-		rsd, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		v1, v2, v3 := core.Speedup(rbs, rb), core.Speedup(rss, rb), core.Speedup(rsd, rb)
-		bs, ss, sd = append(bs, v1), append(ss, v2), append(sd, v3)
-		t.Rows = append(t.Rows, []string{spec.Name, x(v1), x(v2), x(v3)})
-	}
-	t.Rows = append(t.Rows, []string{"gmean", x(stats.GeoMean(bs)), x(stats.GeoMean(ss)), x(stats.GeoMean(sd))})
+	t.addColumns(gmeanLabels(specs),
+		speedupCol(g[2], g[0]), speedupCol(g[3], g[0]), speedupCol(g[1], g[0]))
 	return t, nil
 }
 
@@ -384,31 +327,12 @@ func (r *Runner) Fig10() (*Table, error) {
 	slow := core.StarNUMASystem()
 	slow.Pool.Latency = pool.SwitchedLatency()
 	slow.Topology.CXLOneWay = slow.Pool.Latency.OneWay()
-	cfgS := r.opts.Sim
-	cfgS.Policy = core.PolicyStarNUMA
-	switched := variant{"starnuma-switched", slow, cfgS}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), switched); err != nil {
+	switched := pooled("starnuma-switched", slow, r.opts.Sim)
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), switched)
+	if err != nil {
 		return nil, err
 	}
-	var fast, slowV []float64
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := r.runVariant(switched, spec)
-		if err != nil {
-			return nil, err
-		}
-		v1, v2 := core.Speedup(rf, rb), core.Speedup(rs, rb)
-		fast, slowV = append(fast, v1), append(slowV, v2)
-		t.Rows = append(t.Rows, []string{spec.Name, x(v1), x(v2)})
-	}
-	t.Rows = append(t.Rows, []string{"gmean", x(stats.GeoMean(fast)), x(stats.GeoMean(slowV))})
+	t.addColumns(gmeanLabels(specs), speedupCol(g[1], g[0]), speedupCol(g[2], g[0]))
 	return t, nil
 }
 
@@ -437,43 +361,15 @@ func (r *Runner) Fig11() (*Table, error) {
 	half.Pool.LinkBW = half.Pool.LinkBW / 2
 	cfgB := r.opts.Sim
 	cfgB.Policy = core.PolicyPerfectBaseline
-	cfgS := r.opts.Sim
-	cfgS.Policy = core.PolicyStarNUMA
 	isoV := variant{"baseline-isobw", iso, cfgB}
 	twoXV := variant{"baseline-2xbw", twoX, cfgB}
-	halfV := variant{"starnuma-halfbw", half, cfgS}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), isoV, twoXV, halfV); err != nil {
+	halfV := pooled("starnuma-halfbw", half, r.opts.Sim)
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), isoV, twoXV, halfV)
+	if err != nil {
 		return nil, err
 	}
-
-	var vIso, v2x, vHalf, vSN []float64
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rIso, err := r.runVariant(isoV, spec)
-		if err != nil {
-			return nil, err
-		}
-		r2x, err := r.runVariant(twoXV, spec)
-		if err != nil {
-			return nil, err
-		}
-		rHalf, err := r.runVariant(halfV, spec)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		a, b, c, d := core.Speedup(rIso, rb), core.Speedup(r2x, rb), core.Speedup(rHalf, rb), core.Speedup(rs, rb)
-		vIso, v2x, vHalf, vSN = append(vIso, a), append(v2x, b), append(vHalf, c), append(vSN, d)
-		t.Rows = append(t.Rows, []string{spec.Name, x(a), x(b), x(c), x(d)})
-	}
-	t.Rows = append(t.Rows, []string{"gmean",
-		x(stats.GeoMean(vIso)), x(stats.GeoMean(v2x)), x(stats.GeoMean(vHalf)), x(stats.GeoMean(vSN))})
+	t.addColumns(gmeanLabels(specs), speedupCol(g[2], g[0]), speedupCol(g[3], g[0]),
+		speedupCol(g[4], g[0]), speedupCol(g[1], g[0]))
 	return t, nil
 }
 
@@ -492,31 +388,12 @@ func (r *Runner) Fig12() (*Table, error) {
 	}
 	small := core.StarNUMASystem()
 	small.Pool.CapacityFraction = 1.0 / 17
-	cfgSm := r.opts.Sim
-	cfgSm.Policy = core.PolicyStarNUMA
-	smallV := variant{"starnuma-smallpool", small, cfgSm}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), smallV); err != nil {
+	smallV := pooled("starnuma-smallpool", small, r.opts.Sim)
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), smallV)
+	if err != nil {
 		return nil, err
 	}
-	var vBig, vSmall []float64
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		rSmall, err := r.runVariant(smallV, spec)
-		if err != nil {
-			return nil, err
-		}
-		a, b := core.Speedup(rs, rb), core.Speedup(rSmall, rb)
-		vBig, vSmall = append(vBig, a), append(vSmall, b)
-		t.Rows = append(t.Rows, []string{spec.Name, x(a), x(b)})
-	}
-	t.Rows = append(t.Rows, []string{"gmean", x(stats.GeoMean(vBig)), x(stats.GeoMean(vSmall))})
+	t.addColumns(gmeanLabels(specs), speedupCol(g[1], g[0]), speedupCol(g[2], g[0]))
 	return t, nil
 }
 
@@ -562,52 +439,18 @@ func (r *Runner) Fig14() (*Table, error) {
 	}
 	cfgB2 := sc2
 	cfgB2.Policy = core.PolicyPerfectBaseline
-	cfgS2 := sc2
-	cfgS2.Policy = core.PolicyStarNUMA
 	cfgB3 := r.opts.Sim
 	cfgB3.Policy = core.PolicyPerfectBaseline
-	cfgS3 := r.opts.Sim
-	cfgS3.Policy = core.PolicyStarNUMA
 	b2 := variant{"sc2-baseline", core.BaselineSystem(), cfgB2}
-	s2 := variant{"sc2-starnuma", core.StarNUMASystem(), cfgS2}
+	s2 := pooled("sc2-starnuma", core.StarNUMASystem(), sc2)
 	b3 := variant{"sc3-baseline", sc3sysB, cfgB3}
-	s3 := variant{"sc3-starnuma", sc3sysS, cfgS3}
-	if err := r.prefetch(specs, r.baselineVariant(), r.starnumaVariant(), b2, s2, b3, s3); err != nil {
+	s3 := pooled("sc3-starnuma", sc3sysS, r.opts.Sim)
+	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), b2, s2, b3, s3)
+	if err != nil {
 		return nil, err
 	}
-
-	for _, spec := range specs {
-		rb, err := r.baseline(spec)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := r.starnuma(spec)
-		if err != nil {
-			return nil, err
-		}
-		sc1 := core.Speedup(rs, rb)
-
-		rb2, err := r.runVariant(b2, spec)
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := r.runVariant(s2, spec)
-		if err != nil {
-			return nil, err
-		}
-		v2 := core.Speedup(rs2, rb2)
-
-		rb3, err := r.runVariant(b3, spec)
-		if err != nil {
-			return nil, err
-		}
-		rs3, err := r.runVariant(s3, spec)
-		if err != nil {
-			return nil, err
-		}
-		v3 := core.Speedup(rs3, rb3)
-
-		t.Rows = append(t.Rows, []string{spec.Name, x(sc1), x(v2), x(v3)})
-	}
+	// The paper reports no mean across this three-workload subset.
+	t.addColumns(specNames(specs),
+		speedupCol(g[1], g[0]), speedupCol(g[3], g[2]), speedupCol(g[5], g[4]))
 	return t, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"starnuma/internal/metrics"
 )
@@ -47,16 +46,10 @@ func (r *Runner) Manifest() *Manifest {
 		Phases: r.opts.Sim.Phases,
 		Jobs:   r.exec.Jobs(),
 	}
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.memo))
-	for k := range r.memo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		res := r.memo[k]
+	for _, run := range r.memoRuns() {
+		res := run.res
 		m.Runs = append(m.Runs, ManifestRun{
-			Key:      k,
+			Key:      run.key,
 			Workload: res.Workload,
 			Policy:   res.Policy.String(),
 			Tracker:  res.Tracker,
@@ -65,7 +58,6 @@ func (r *Runner) Manifest() *Manifest {
 			Metrics:  res.Metrics,
 		})
 	}
-	r.mu.Unlock()
 	return m
 }
 

@@ -48,8 +48,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 	plans := sweepPlans()
 	pols := migrate.Policies()
 
-	base := r.baselineVariant()
-	vs := []variant{base}
+	vs := []variant{r.baselineVariant()}
 	for _, d := range pols {
 		for _, pl := range plans {
 			cfg := r.opts.Sim
@@ -59,7 +58,8 @@ func (r *Runner) PolicySweep() (*Table, error) {
 				core.StarNUMASystem(), cfg})
 		}
 	}
-	if err := r.prefetch(specs, vs...); err != nil {
+	g, err := r.grid(specs, vs...)
+	if err != nil {
 		return nil, err
 	}
 
@@ -72,7 +72,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 		stalls []int64
 	}
 	rows := make([]ranked, 0, len(pols))
-	idx := 1 // vs[0] is the baseline anchor
+	idx := 1 // g[0] is the baseline anchor
 	for _, d := range pols {
 		rk := ranked{name: d.Name}
 		if r.opts.Sim.Attrib {
@@ -80,19 +80,9 @@ func (r *Runner) PolicySweep() (*Table, error) {
 		}
 		var all []float64
 		for range plans {
-			v := vs[idx]
-			idx++
 			var ratios []float64
-			for _, spec := range specs {
-				b, err := r.runVariant(base, spec)
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.runVariant(v, spec)
-				if err != nil {
-					return nil, err
-				}
-				s := core.Speedup(res, b)
+			for i, res := range g[idx] {
+				s := core.Speedup(res, g[0][i])
 				ratios = append(ratios, s)
 				all = append(all, s)
 				if rk.stalls != nil && res.Profile != nil {
@@ -101,6 +91,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 					_ = res.Profile.AddCategoryTotals(rk.stalls)
 				}
 			}
+			idx++
 			rk.perPlan = append(rk.perPlan, stats.GeoMean(ratios))
 		}
 		rk.overall = stats.GeoMean(all)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"starnuma/internal/attrib"
 )
@@ -15,25 +14,17 @@ import (
 // encode byte-identically.
 func (r *Runner) StallProfiles() *attrib.Doc {
 	d := &attrib.Doc{Schema: attrib.DocSchema}
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.memo))
-	for k := range r.memo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		res := r.memo[k]
-		if res.Profile == nil {
+	for _, run := range r.memoRuns() {
+		if run.res.Profile == nil {
 			continue
 		}
 		d.Runs = append(d.Runs, attrib.DocRun{
-			Key:      k,
-			Workload: res.Workload,
-			Policy:   res.Policy.String(),
-			Profile:  res.Profile,
+			Key:      run.key,
+			Workload: run.res.Workload,
+			Policy:   run.res.Policy.String(),
+			Profile:  run.res.Profile,
 		})
 	}
-	r.mu.Unlock()
 	return d
 }
 

@@ -4,18 +4,9 @@ import (
 	"fmt"
 
 	"starnuma/internal/core"
-	"starnuma/internal/runner"
 	"starnuma/internal/scenario"
 	"starnuma/internal/workload"
 )
-
-// scenarioWave is one (variant, spec-list) pair of a scenario run; the
-// scenario run proper drifts while its references do not, so the pairs
-// run different spec lists and prefetch cannot be reused directly.
-type scenarioWave struct {
-	v     variant
-	specs []workload.Spec
-}
 
 // RunScenario executes one compiled scenario through the runner and
 // evaluates its assertions. The scenario run, its no-events reference
@@ -32,77 +23,41 @@ func (r *Runner) RunScenario(c *scenario.Compiled) (*scenario.Verdict, error) {
 	ref := variant{tag + "/ref", c.Sys, c.RefCfg}
 	base := variant{tag + "/base", c.BaseSys, c.BaseCfg}
 
-	waves := []scenarioWave{{main, c.Specs}}
+	var cells []cell
+	add := func(v variant, specs []workload.Spec) {
+		for _, spec := range specs {
+			cells = append(cells, cell{v, spec})
+		}
+	}
+	// The scenario run proper drifts while its references do not, so
+	// the main cells and the reference cells run different spec lists.
+	add(main, c.Specs)
 	if c.NeedsRef {
-		waves = append(waves, scenarioWave{ref, c.RefSpecs})
+		add(ref, c.RefSpecs)
 	}
 	if c.NeedsBase {
-		waves = append(waves, scenarioWave{base, c.RefSpecs})
+		add(base, c.RefSpecs)
 	}
-	if err := r.prefetchWaves(waves); err != nil {
+	res, err := r.results(cells)
+	if err != nil {
 		return nil, fmt.Errorf("exp: scenario %s: %w", c.Name(), err)
 	}
-
-	collect := func(v variant, specs []workload.Spec) (map[string]*core.Result, error) {
+	// take maps the next len(specs) results by workload name.
+	take := func(specs []workload.Spec) map[string]*core.Result {
 		out := make(map[string]*core.Result, len(specs))
 		for _, spec := range specs {
-			res, err := r.runVariant(v, spec) // memo hit after the wave
-			if err != nil {
-				return nil, err
-			}
-			out[spec.Name] = res
+			out[spec.Name], res = res[0], res[1:]
 		}
-		return out, nil
+		return out
 	}
-
-	var rs scenario.RunSet
-	var err error
-	if rs.Results, err = collect(main, c.Specs); err != nil {
-		return nil, err
-	}
+	rs := scenario.RunSet{Results: take(c.Specs)}
 	if c.NeedsRef {
-		if rs.Ref, err = collect(ref, c.RefSpecs); err != nil {
-			return nil, err
-		}
+		rs.Ref = take(c.RefSpecs)
 	}
 	if c.NeedsBase {
-		if rs.Base, err = collect(base, c.RefSpecs); err != nil {
-			return nil, err
-		}
+		rs.Base = take(c.RefSpecs)
 	}
 	return c.Evaluate(rs)
-}
-
-// prefetchWaves fans every not-yet-memoised (variant, workload) pair of
-// the waves through the parallel scheduler as a single RunAll call —
-// prefetch generalised to variants with differing spec lists.
-func (r *Runner) prefetchWaves(waves []scenarioWave) error {
-	var jobs []runner.Job
-	var keys []string
-	for _, w := range waves {
-		for _, spec := range w.specs {
-			key := w.v.name + "|" + spec.Name
-			if _, ok := r.memoGet(key); ok {
-				continue
-			}
-			jobs = append(jobs, runner.Job{
-				Label: w.v.name + "/" + spec.Name,
-				Sys:   w.v.sys, Cfg: w.v.cfg, Spec: spec,
-			})
-			keys = append(keys, key)
-		}
-	}
-	if len(jobs) == 0 {
-		return nil
-	}
-	results, err := r.exec.RunAll(jobs)
-	if err != nil {
-		return err
-	}
-	for i, res := range results {
-		r.memoPut(keys[i], res)
-	}
-	return nil
 }
 
 func shortHash(h string) string {

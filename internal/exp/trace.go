@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"starnuma/internal/evtrace"
@@ -21,16 +20,9 @@ func (r *Runner) WriteTrace() error {
 		return nil
 	}
 	bd := evtrace.NewBuilder()
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.memo))
-	for k := range r.memo {
-		keys = append(keys, k)
+	for _, run := range r.memoRuns() {
+		bd.Add(strings.ReplaceAll(run.key, "|", "/"), run.res.Trace)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		bd.Add(strings.ReplaceAll(k, "|", "/"), r.memo[k].Trace)
-	}
-	r.mu.Unlock()
 	if r.opts.WallTrace != nil {
 		bd.Add("", r.opts.WallTrace.Buffer())
 	}
