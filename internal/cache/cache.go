@@ -8,62 +8,77 @@
 // decide when an access must be served by a cache-to-cache block
 // transfer and when an eviction must write back dirty data.
 //
-// The cache is set-associative with true per-set LRU. Storage is
-// struct-of-arrays (parallel tag and metadata arrays) and invalidation
-// on Reset is by generation bump, so a timing window can recycle a
-// multi-megabyte LLC without touching its arrays — the per-window
-// allocation cost this replaced dominated step-C setup time.
+// The cache is set-associative with true per-set LRU. Each set is one
+// contiguous 80-byte record: the generation it was last written in, a
+// valid and a dirty mask, the ways' recency order packed as 4-bit way
+// numbers in one word, and 32-bit tags. An access therefore reads one
+// record, not several parallel arrays, which keeps the model's host
+// footprint and cache misses small when many sockets are simulated.
+// Reset is O(1): it bumps the cache's generation, and a set whose stored
+// generation is stale reads as empty, so a timing window can recycle a
+// multi-megabyte LLC without touching its records.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 const (
 	// BlockBytes is the cache block (line) size.
 	BlockBytes = 64
 	// BlockShift is log2(BlockBytes).
 	BlockShift = 6
+	// MaxWays is the largest associativity a set record can hold: the
+	// valid and dirty masks are 16 bits and the recency order packs 16
+	// 4-bit way numbers into one uint64.
+	MaxWays = 16
 )
 
-// Line metadata layout: generation<<2 | dirty<<1 | valid. A line is
-// live only when its stored generation matches the cache's current one,
-// which lets Reset invalidate every line in O(1). Generation 0 is never
-// current, so zeroed metadata is always invalid.
-const (
-	metaValid = 1 << 0
-	metaDirty = 1 << 1
-	metaGen   = 2 // generation shift
-	// maxGen bounds the generation counter; on wrap Reset falls back to
-	// clearing the metadata array. 2^30 windows per LLC never happens in
-	// practice, so the fallback is effectively dead code kept for
-	// correctness.
-	maxGen = 1<<30 - 1
-)
+// maxGen bounds the generation counter. On wrap Reset clears every
+// set's stored generation, so a set last written many generations ago
+// cannot come back to life when the counter restarts at 1. Generation 0
+// is never current, so a zeroed record always reads as empty.
+const maxGen = math.MaxUint32
+
+// identityOrder is the recency order of a freshly emptied set: way i at
+// position i. Nibbles past the associativity are unused.
+const identityOrder = 0xFEDCBA9876543210
+
+// set is one cache set. The recency order lists way numbers MRU first,
+// one per nibble; the LRU way sits at position ways-1. It covers every
+// way, valid or not, and only its order among valid ways matters: a way
+// moves to the front whenever it is filled or hit, so in a full set the
+// last position holds the least-recently used line.
+type set struct {
+	gen   uint32 // generation the set was last written in
+	valid uint16 // way i holds a block when bit i is set
+	dirty uint16 // way i's block is dirty when bit i is set
+	order uint64 // recency permutation, 4-bit way numbers, MRU first
+	tags  [MaxWays]uint32
+}
 
 // LLC is a set-associative presence cache over 64-byte block addresses.
+// A block maps to set block&setMask with tag block>>setBits.
 type LLC struct {
-	ways    int
-	sets    int
-	setMask uint64
-	gen     uint32
-	clock   uint64   // monotone LRU stamp source, shared by all sets
-	tags    []uint64 // sets*ways entries; slot order within a set is arbitrary
-	meta    []uint32 // parallel to tags: generation/dirty/valid
-	// tick holds each line's last-use stamp. LRU is the live line with
-	// the smallest stamp — equivalent to an ordered recency list, but
-	// promotion is one store instead of shifting the set's arrays.
-	// Stamps are unique (clock is strictly increasing) and only their
-	// relative order within one window's live lines is ever compared, so
-	// carrying the clock across Reset cannot be observed.
-	tick []uint64
+	sets     []set
+	ways     int
+	setMask  uint64
+	setBits  uint
+	lruShift uint   // bit offset of the LRU position in set.order
+	full     uint16 // valid mask of a full set
+	gen      uint32
 	// counters
 	inserts, hits, evictions, dirtyEvictions uint64
 }
 
 // New builds an LLC holding capacityBytes of 64-byte blocks with the
 // given associativity. The set count is rounded down to a power of two
-// (at least one set). It panics on nonsensical arguments.
+// (at least one set). It panics on nonsensical arguments, and on more
+// than MaxWays ways.
 func New(capacityBytes int64, ways int) *LLC {
-	if capacityBytes < BlockBytes || ways <= 0 {
+	if capacityBytes < BlockBytes || ways <= 0 || ways > MaxWays {
 		panic(fmt.Sprintf("cache: invalid capacity %d / ways %d", capacityBytes, ways))
 	}
 	blocks := int(capacityBytes / BlockBytes)
@@ -75,78 +90,101 @@ func New(capacityBytes int64, ways int) *LLC {
 		sets *= 2
 	}
 	return &LLC{
-		ways:    ways,
-		sets:    sets,
-		setMask: uint64(sets - 1),
-		gen:     1,
-		tags:    make([]uint64, sets*ways),
-		meta:    make([]uint32, sets*ways),
-		tick:    make([]uint64, sets*ways),
+		sets:     make([]set, sets),
+		ways:     ways,
+		setMask:  uint64(sets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		lruShift: uint(4 * (ways - 1)),
+		full:     uint16(1<<ways - 1),
+		gen:      1,
 	}
 }
 
-// Reset empties the cache and zeroes its counters by bumping the line
-// generation, leaving the arrays untouched. A reset LLC is
+// Reset empties the cache and zeroes its counters by bumping the
+// generation, leaving the set records untouched. A reset LLC is
 // indistinguishable from a newly built one.
 //
 //starnuma:coldpath once per window on scratch reuse
 func (c *LLC) Reset() {
-	c.gen++
-	if c.gen > maxGen {
-		for i := range c.meta {
-			c.meta[i] = 0
+	if c.gen == maxGen {
+		for i := range c.sets {
+			c.sets[i].gen = 0
 		}
-		c.gen = 1
+		c.gen = 0
 	}
+	c.gen++
 	c.inserts, c.hits, c.evictions, c.dirtyEvictions = 0, 0, 0, 0
 }
 
 // Sets returns the number of sets.
-func (c *LLC) Sets() int { return c.sets }
+func (c *LLC) Sets() int { return len(c.sets) }
 
 // Ways returns the associativity.
 func (c *LLC) Ways() int { return c.ways }
 
 // CapacityBlocks returns how many blocks the cache can hold.
-func (c *LLC) CapacityBlocks() int { return c.sets * c.ways }
+func (c *LLC) CapacityBlocks() int { return len(c.sets) * c.ways }
 
-// setBase returns the first line index of block's set.
-func (c *LLC) setBase(block uint64) int {
-	return int(block&c.setMask) * c.ways
+// locate returns block's set and its tag within that set.
+func (c *LLC) locate(block uint64) (*set, uint32) {
+	tag := block >> c.setBits
+	if tag > math.MaxUint32 {
+		tagPanic(block, c.setBits)
+	}
+	return &c.sets[block&c.setMask], uint32(tag)
 }
 
-// live reports whether line i currently holds a valid block.
-func (c *LLC) live(i int) bool {
-	m := c.meta[i]
-	return m&metaValid != 0 && m>>metaGen == c.gen
+//starnuma:coldpath an over-wide block address is a caller bug
+func tagPanic(block uint64, setBits uint) {
+	panic(fmt.Sprintf("cache: block %#x needs a tag wider than 32 bits above %d set bits", block, setBits))
+}
+
+// find returns the valid way of s holding tag, or -1. A set left over
+// from an earlier generation holds nothing.
+func (c *LLC) find(s *set, tag uint32) int {
+	if s.gen != c.gen {
+		return -1
+	}
+	for m := s.valid; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros16(m); s.tags[w] == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// promote moves way w to the MRU position of order.
+func promote(order uint64, w int) uint64 {
+	// Find w's nibble: XOR zeroes it, and the lowest zero nibble is
+	// located exactly by the borrow trick (false positives only appear
+	// above a true zero). Unused nibbles sit above every real position.
+	x := order ^ uint64(w)*0x1111111111111111
+	pos := uint(bits.TrailingZeros64((x-0x1111111111111111)&^x&0x8888888888888888)) &^ 3
+	below := uint64(1)<<pos - 1 // positions before w's
+	above := ^(below<<4 | 0xF)  // positions after w's
+	return order&above | (order&below)<<4 | uint64(w)
 }
 
 // Contains reports whether block is cached, without touching LRU state.
 //
 //starnuma:hotpath per-access presence probe
 func (c *LLC) Contains(block uint64) bool {
-	base := c.setBase(block)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == block && c.live(i) {
-			return true
-		}
-	}
-	return false
+	s, tag := c.locate(block)
+	return c.find(s, tag) >= 0
 }
 
 // Touch promotes block to MRU if present and reports whether it was.
 //
 //starnuma:hotpath one call per access
 func (c *LLC) Touch(block uint64) bool {
-	base := c.setBase(block)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == block && c.live(i) {
-			c.stamp(i)
-			c.hits++
-			return true
-		}
+	s, tag := c.locate(block)
+	w := c.find(s, tag)
+	if w < 0 {
+		return false
 	}
-	return false
+	s.order = promote(s.order, w)
+	c.hits++
+	return true
 }
 
 // Insert places block in the cache as MRU, marking it dirty if requested.
@@ -156,47 +194,40 @@ func (c *LLC) Touch(block uint64) bool {
 //
 //starnuma:hotpath one call per miss fill
 func (c *LLC) Insert(block uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
-	base := c.setBase(block)
-	m := c.gen<<metaGen | metaValid
+	s, tag := c.locate(block)
+	if s.gen != c.gen {
+		s.gen, s.valid, s.dirty, s.order = c.gen, 0, 0, identityOrder
+	}
+	var d uint16
 	if dirty {
-		m |= metaDirty
+		d = 1
 	}
-	// One scan resolves both outcomes: a tag hit, or the first invalid
-	// way to fill on a miss.
-	invalid := -1
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == block && c.live(i) {
-			c.meta[i] |= m // OR keeps an existing dirty bit
-			c.stamp(i)
-			c.hits++
-			return 0, false, false
-		}
-		if invalid < 0 && !c.live(i) {
-			invalid = i
-		}
-	}
-	c.inserts++
-	if invalid >= 0 {
-		c.tags[invalid], c.meta[invalid] = block, m
-		c.stamp(invalid)
+	if w := c.find(s, tag); w >= 0 {
+		s.dirty |= d << w
+		s.order = promote(s.order, w)
+		c.hits++
 		return 0, false, false
 	}
-	// Evict the LRU line: every way is live here, so the victim is the
-	// one with the oldest stamp.
-	lru := base
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.tick[i] < c.tick[lru] {
-			lru = i
+	c.inserts++
+	var w int
+	if free := c.full &^ s.valid; free != 0 {
+		w = bits.TrailingZeros16(free)
+	} else {
+		// Every way was filled this generation, so the last position
+		// holds the least-recently used live line.
+		w = int(s.order >> c.lruShift & 0xF)
+		victim = uint64(s.tags[w])<<c.setBits | block&c.setMask
+		victimDirty, evicted = s.dirty>>w&1 != 0, true
+		c.evictions++
+		if victimDirty {
+			c.dirtyEvictions++
 		}
 	}
-	victim, victimDirty = c.tags[lru], c.meta[lru]&metaDirty != 0
-	c.tags[lru], c.meta[lru] = block, m
-	c.stamp(lru)
-	c.evictions++
-	if victimDirty {
-		c.dirtyEvictions++
-	}
-	return victim, victimDirty, true
+	s.tags[w] = tag
+	s.valid |= 1 << w
+	s.dirty = s.dirty&^(1<<w) | d<<w
+	s.order = promote(s.order, w)
+	return victim, victimDirty, evicted
 }
 
 // Invalidate removes block if present, returning whether it was present
@@ -204,29 +235,15 @@ func (c *LLC) Insert(block uint64, dirty bool) (victim uint64, victimDirty, evic
 //
 //starnuma:hotpath one call per coherence invalidation
 func (c *LLC) Invalidate(block uint64) (present, wasDirty bool) {
-	base := c.setBase(block)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == block && c.live(i) {
-			wasDirty = c.meta[i]&metaDirty != 0
-			c.tags[i], c.meta[i] = 0, 0
-			return true, wasDirty
-		}
+	s, tag := c.locate(block)
+	w := c.find(s, tag)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
-}
-
-// MarkDirty sets the dirty bit on block, reporting whether it was cached.
-//
-//starnuma:hotpath one call per write hit
-func (c *LLC) MarkDirty(block uint64) bool {
-	base := c.setBase(block)
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == block && c.live(i) {
-			c.meta[i] |= metaDirty
-			return true
-		}
-	}
-	return false
+	wasDirty = s.dirty>>w&1 != 0
+	s.valid &^= 1 << w
+	s.dirty &^= 1 << w
+	return true, wasDirty
 }
 
 // Stats is a snapshot of the cache's lifetime counters.
@@ -240,12 +257,4 @@ type Stats struct {
 // Stats returns the cache's counters.
 func (c *LLC) Stats() Stats {
 	return Stats{Inserts: c.inserts, Hits: c.hits, Evictions: c.evictions, DirtyEvictions: c.dirtyEvictions}
-}
-
-// stamp marks line i as the set's most recently used.
-//
-//starnuma:hotpath one call per hit or fill
-func (c *LLC) stamp(i int) {
-	c.clock++
-	c.tick[i] = c.clock
 }

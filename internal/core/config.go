@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"starnuma/internal/cache"
 	"starnuma/internal/fault"
 	"starnuma/internal/link"
 	"starnuma/internal/memdev"
@@ -174,7 +175,8 @@ type SystemConfig struct {
 	SocketMem memdev.Config
 	PoolMem   memdev.Config
 
-	// LLCBytes/LLCWays size the per-socket LLC presence model.
+	// LLCBytes/LLCWays size the per-socket LLC presence model; a set
+	// holds at most cache.MaxWays (16) ways.
 	LLCBytes int64
 	LLCWays  int
 
@@ -237,7 +239,7 @@ func (c SystemConfig) Validate() error {
 	if c.UPIBandwidth < 0 || c.NUMABandwidth < 0 {
 		return fmt.Errorf("core: negative link bandwidth")
 	}
-	if c.LLCBytes <= 0 || c.LLCWays <= 0 {
+	if c.LLCBytes <= 0 || c.LLCWays <= 0 || c.LLCWays > cache.MaxWays {
 		return fmt.Errorf("core: invalid LLC geometry %d/%d", c.LLCBytes, c.LLCWays)
 	}
 	if c.CoresPerSocket <= 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"starnuma/internal/cache"
 	"starnuma/internal/memdev"
 	"starnuma/internal/migrate"
 	"starnuma/internal/sim"
@@ -67,6 +68,7 @@ func TestSystemConfigValidate(t *testing.T) {
 		func(c *SystemConfig) { c.NUMABandwidth = -1 },
 		func(c *SystemConfig) { c.LLCBytes = 0 },
 		func(c *SystemConfig) { c.LLCWays = 0 },
+		func(c *SystemConfig) { c.LLCWays = cache.MaxWays + 1 },
 		func(c *SystemConfig) { c.CoresPerSocket = 0 },
 		func(c *SystemConfig) { c.ClockGHz = 0 },
 		func(c *SystemConfig) { c.MessageBytes = 0 },
