@@ -21,7 +21,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,31 +37,32 @@ import (
 	"starnuma/internal/tracker"
 )
 
-// PolicySpec selects the step-B migration policy by registry name
+// PolicySpec selects the step-B placement policy by registry name
 // (internal/migrate's policy registry) plus optional parameter
-// overrides. It replaces the closed PolicyKind enum: any registered
-// policy is selectable by name, and its descriptor-declared parameters
-// are overridable per run. The zero value selects the default StarNUMA
-// policy.
+// overrides: any registered policy is selectable by name, and its
+// descriptor-declared parameters are overridable per run. The zero
+// value selects the default StarNUMA policy.
 type PolicySpec struct {
 	// Name is the registry name ("starnuma", "oracle", ...); empty means
 	// "starnuma".
-	Name string
+	Name string `json:"name"`
 	// Params overrides descriptor-declared parameters by name.
-	Params migrate.Params
+	Params migrate.Params `json:"params"`
 }
 
-// Legacy policy selectors, preserved as values so existing call sites
-// (and their meaning) are unchanged by the registry redesign.
+// Selectors for the built-in policies the experiments name directly.
 var (
 	// PolicyStarNUMA runs Algorithm 1 over the region tracker.
 	PolicyStarNUMA = PolicySpec{Name: "starnuma"}
 	// PolicyPerfectBaseline runs the paper's favoured baseline: zero-cost
 	// perfect per-page knowledge, migrations between sockets only.
 	PolicyPerfectBaseline = PolicySpec{Name: "baseline-perfect"}
-	// PolicyNone performs no dynamic migration (static placement
-	// studies).
+	// PolicyNone performs no dynamic migration: pages stay where first
+	// touch put them.
 	PolicyNone = PolicySpec{Name: "none"}
+	// PolicyOracle is §V-B's oracular static placement: every page placed
+	// once from whole-run totals, no dynamic migration.
+	PolicyOracle = PolicySpec{Name: "oracle"}
 )
 
 // CanonicalName resolves the empty name to the default policy.
@@ -89,74 +89,6 @@ func (p PolicySpec) Tag() string {
 	b, _ := json.Marshal(p.Params) // map[string]float64 cannot fail
 	sum := sha256.Sum256(b)
 	return p.CanonicalName() + "-" + hex.EncodeToString(sum[:])[:8]
-}
-
-// legacyPolicyCodes maps the retired PolicyKind enum's integer JSON
-// values to registry names. The three legacy policies still marshal as
-// these integers so pre-redesign SimConfig JSON — and therefore every
-// content-hashed result-cache key — stays byte-identical.
-var legacyPolicyCodes = [...]string{"starnuma", "baseline-perfect", "none"}
-
-// MarshalJSON emits the legacy integer for the three original policies
-// (parameterless), the bare name string for other parameterless
-// policies, and a {"name", "params"} object otherwise. It encodes the
-// raw name — not the canonical one — so decode(encode(p)) == p for
-// every value UnmarshalJSON can produce, including the zero spec (the
-// result cache's fuzz round-trip contract).
-func (p PolicySpec) MarshalJSON() ([]byte, error) {
-	if len(p.Params) == 0 {
-		for code, legacy := range legacyPolicyCodes {
-			if p.Name == legacy {
-				return json.Marshal(code)
-			}
-		}
-		return json.Marshal(p.Name)
-	}
-	return json.Marshal(struct {
-		Name   string         `json:"name"`
-		Params migrate.Params `json:"params,omitempty"`
-	}{p.Name, p.Params})
-}
-
-// UnmarshalJSON accepts all three forms MarshalJSON emits, so legacy
-// PolicyKind integers keep decoding.
-func (p *PolicySpec) UnmarshalJSON(b []byte) error {
-	t := bytes.TrimSpace(b)
-	if len(t) == 0 {
-		return fmt.Errorf("core: empty policy")
-	}
-	switch t[0] {
-	case '"':
-		var name string
-		if err := json.Unmarshal(t, &name); err != nil {
-			return fmt.Errorf("core: policy: %w", err)
-		}
-		*p = PolicySpec{Name: name}
-		return nil
-	case '{':
-		var obj struct {
-			Name   string         `json:"name"`
-			Params migrate.Params `json:"params"`
-		}
-		if err := json.Unmarshal(t, &obj); err != nil {
-			return fmt.Errorf("core: policy: %w", err)
-		}
-		if len(obj.Params) == 0 {
-			obj.Params = nil // normalize so re-encoding round-trips
-		}
-		*p = PolicySpec{Name: obj.Name, Params: obj.Params}
-		return nil
-	default:
-		var code int
-		if err := json.Unmarshal(t, &code); err != nil {
-			return fmt.Errorf("core: policy: %w", err)
-		}
-		if code < 0 || code >= len(legacyPolicyCodes) {
-			return fmt.Errorf("core: unknown legacy policy code %d", code)
-		}
-		*p = PolicySpec{Name: legacyPolicyCodes[code]}
-		return nil
-	}
 }
 
 // SystemConfig describes the hardware being simulated.
@@ -277,19 +209,13 @@ type SimConfig struct {
 	RegionPages int
 	// Tracker selects T16 or T0.
 	Tracker tracker.Kind
-	// Policy selects the migration policy from internal/migrate's
-	// registry, by name plus optional parameter overrides. Content-hashed
-	// into the runner's cache key (legacy policies keep their original
-	// integer encoding, so old keys stay valid).
+	// Policy selects the page placement policy from internal/migrate's
+	// registry, by name plus optional parameter overrides — dynamic
+	// migration and static placement (the oracle) alike. Content-hashed
+	// into the runner's cache key.
 	Policy PolicySpec
 	// Migration parameterises Algorithm 1.
 	Migration migrate.Config
-	// BaselineMigrationLimit caps the perfect baseline's moves per phase.
-	BaselineMigrationLimit int
-
-	// StaticOracle replaces first-touch + dynamic migration with
-	// whole-run oracular placement (§V-B). Forces PolicyNone behaviour.
-	StaticOracle bool
 
 	// MigrationCostCycles is the per-page cost on the migration-
 	// initiating core (hardware-assisted TLB shootdown, §IV-C: 3k
@@ -305,9 +231,6 @@ type SimConfig struct {
 	// home is the pool are forced onto the direct owner→requester path
 	// instead of the (counter-intuitively faster) 4-hop pool path.
 	ForceDirectBT bool
-	// StripedPlacement replaces first-touch initial placement with
-	// round-robin page striping across sockets (ablation).
-	StripedPlacement bool
 
 	// SoftwareTracking replaces the hardware tracker with conventional
 	// OS page-poisoning sampling (§III-D1): only a sampled fraction of
@@ -381,18 +304,17 @@ func DefaultSoftwareTracking() SoftwareTrackingConfig {
 // DefaultSim returns the default methodology scaling (DESIGN.md §4).
 func DefaultSim() SimConfig {
 	return SimConfig{
-		Phases:                 8,
-		PhaseInstr:             4_000_000,
-		TimedInstr:             400_000,
-		WarmupInstr:            40_000,
-		RegionPages:            32,
-		Tracker:                tracker.T16,
-		Policy:                 PolicyStarNUMA,
-		Migration:              migrate.AutoConfig(),
-		BaselineMigrationLimit: 8192,
-		MigrationCostCycles:    3000,
-		ModelTLB:               true,
-		PageWalkPenalty:        100 * sim.Nanosecond,
+		Phases:              8,
+		PhaseInstr:          4_000_000,
+		TimedInstr:          400_000,
+		WarmupInstr:         40_000,
+		RegionPages:         32,
+		Tracker:             tracker.T16,
+		Policy:              PolicyStarNUMA,
+		Migration:           migrate.AutoConfig(),
+		MigrationCostCycles: 3000,
+		ModelTLB:            true,
+		PageWalkPenalty:     100 * sim.Nanosecond,
 	}
 }
 

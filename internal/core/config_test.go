@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"starnuma/internal/migrate"
 	"starnuma/internal/sim"
 	"starnuma/internal/topology"
 )
@@ -93,5 +96,30 @@ func TestGapTimeMonotone(t *testing.T) {
 			t.Fatalf("gapTime not increasing at gap %d", gap)
 		}
 		prev = got
+	}
+}
+
+// TestPolicySpecJSONRoundTrip: a SimConfig's policy is content-hashed
+// into the result-cache key and decoded from cached entries, so every
+// spec must survive decode(encode(p)) == p — including an empty but
+// non-nil params map, which an omitempty tag would turn into nil.
+func TestPolicySpecJSONRoundTrip(t *testing.T) {
+	for _, p := range []PolicySpec{
+		{},
+		PolicyOracle,
+		{Name: "baseline-perfect", Params: migrate.Params{"migration_limit": 0, "gain": 2.5}},
+		{Name: "starnuma", Params: migrate.Params{}},
+	} {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got PolicySpec
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("round trip of %s: got %#v, want %#v", b, got, p)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"starnuma/internal/cache"
@@ -328,8 +329,9 @@ func TestRunMeasuredMPKIMatchesSpec(t *testing.T) {
 func TestRunStaticOracle(t *testing.T) {
 	spec := tinySpec(t, "BFS")
 	cfg := tinySim()
-	cfg.StaticOracle = true
-	r, err := Run(StarNUMASystem(), cfg, spec)
+	cfg.Policy = PolicyOracle
+	sys := StarNUMASystem()
+	r, err := Run(sys, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +347,44 @@ func TestRunStaticOracle(t *testing.T) {
 	}
 	if r.MigrStalledAccesses != 0 {
 		t.Fatal("static oracle stalled accesses on migrations")
+	}
+
+	// Every checkpoint carries §V-B's placement: StaticOraclePlacement
+	// over the whole-run totals with the pool's undegraded capacity, a
+	// sharer threshold of 8 and the workload's seed — and no migrations.
+	// The fake source leaves most pages untouched, so the seed that
+	// places them is pinned too (the suite's workloads touch every page).
+	topo := topology.New(sys.Topology)
+	gen, err := workload.NewGenerator(spec, topo.Sockets(), sys.CoresPerSocket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := newFakeSource(256, func(core int) uint32 { return uint32(core % 8) })
+	for _, src := range []AccessSource{gen, fake} {
+		plan, err := NewPlan(sys, cfg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := migrate.StaticOraclePlacement(plan.Trace().Totals, migrate.StaticOracleConfig{
+			Sockets:             topo.Sockets(),
+			HasPool:             true,
+			PoolNode:            topo.PoolNode(),
+			PoolCapacityPages:   sys.Pool.CapacityPages(src.NumPages()),
+			PoolSharerThreshold: 8,
+			Seed:                int64(src.Spec().Seed),
+		})
+		for i := 0; i < plan.NumWindows(); i++ {
+			chk := plan.Checkpoint(i)
+			if len(chk.Migrations) != 0 {
+				t.Fatalf("%s: checkpoint %d carries %d migrations", src.Spec().Name, i, len(chk.Migrations))
+			}
+			if !slices.Equal(chk.PageHome, want) {
+				t.Fatalf("%s: checkpoint %d placement differs from StaticOraclePlacement", src.Spec().Name, i)
+			}
+		}
+		if plan.Trace().MigrStats != (migrate.Stats{}) {
+			t.Fatalf("%s: oracle reported migration stats %+v", src.Spec().Name, plan.Trace().MigrStats)
+		}
 	}
 }
 
@@ -601,29 +641,18 @@ func TestForceDirectBTAblation(t *testing.T) {
 	}
 }
 
-func TestStripedPlacementAblation(t *testing.T) {
-	spec := tinySpec(t, "POA")
+// TestFirstTouchKeepsPrivatePagesLocal pins §V-A's observation: POA's
+// pages each have a single accessor, so first touch alone homes every
+// access locally.
+func TestFirstTouchKeepsPrivatePagesLocal(t *testing.T) {
 	cfg := tinySim()
-	cfg.StripedPlacement = true
 	cfg.Policy = PolicyNone
-	r, err := Run(BaselineSystem(), cfg, spec)
+	r, err := Run(BaselineSystem(), cfg, tinySpec(t, "POA"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// POA under striping loses its all-local property: pages land on
-	// arbitrary sockets instead of their single accessor.
-	fr := r.AMAT.Breakdown().Fractions()
-	if fr[stats.Local] > 0.5 {
-		t.Fatalf("striped POA still %v local; striping had no effect", fr[stats.Local])
-	}
-	// And first-touch restores it (the paper's §V-A observation).
-	cfg.StripedPlacement = false
-	r2, err := Run(BaselineSystem(), cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr2 := r2.AMAT.Breakdown().Fractions(); fr2[stats.Local] < 0.999 {
-		t.Fatalf("first-touch POA local = %v", fr2[stats.Local])
+	if fr := r.AMAT.Breakdown().Fractions(); fr[stats.Local] < 0.999 {
+		t.Fatalf("first-touch POA local = %v", fr[stats.Local])
 	}
 }
 

@@ -27,31 +27,28 @@ import (
 //     so the set of pages first-touched in phase k — and the socket each
 //     lands on — is the same for every variant.
 //
-// The memo therefore captures, per (stream, phase, tracker shape,
-// placement mode): the tracker and counts snapshots plus the first-touch
-// (page, home) list. A hit replays all three by array copy instead of
-// re-walking ~10^6 recorded accesses. The software-sampling path is
-// excluded — the Sampler's per-phase fault set feeds step C's timing and
-// is cheaper to recompute than to snapshot coherently.
+// The memo therefore captures, per (stream, phase, tracker shape): the
+// tracker and counts snapshots plus the first-touch (page, home) list.
+// A hit replays all three by array copy instead of re-walking ~10^6
+// recorded accesses. The software-sampling path is excluded — the
+// Sampler's per-phase fault set feeds step C's timing and is cheaper to
+// recompute than to snapshot coherently.
 
 // ingestKey identifies one memoized phase ingest. sig is the phase
 // stream's signature (spec, system shape, per-core budget — see
 // workload.PhaseStream.Sig); the remaining fields pin the tracker
-// shape and the initial-placement mode, which change the ingest products
-// for the same stream.
+// shape, which changes the ingest products for the same stream.
 type ingestKey struct {
 	sig         string
 	phase       int
 	kind        tracker.Kind
 	regionPages int
-	striped     bool
 }
 
 type ingestEntry struct {
 	tbl *tracker.TableState
 	pc  *migrate.PageCountsState
-	// The phase's first-touch assignments, in stream order. Empty under
-	// striped placement (nothing is ever Unassigned).
+	// The phase's first-touch assignments, in stream order.
 	firstPages []uint32
 	firstHomes []topology.NodeID
 	lastUse    int64

@@ -53,19 +53,17 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 		return g
 	}
 	for _, tc := range []struct {
-		name    string
-		policy  PolicySpec
-		striped bool
+		name   string
+		policy PolicySpec
 	}{
 		{name: "starnuma", policy: PolicyStarNUMA},
-		{name: "oracle", policy: PolicySpec{Name: "oracle"}},
-		{name: "none-striped", policy: PolicyNone, striped: true},
+		{name: "oracle", policy: PolicyOracle},
+		{name: "none", policy: PolicyNone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinySim()
 			cfg.Phases = 3
 			cfg.Policy = tc.policy
-			cfg.StripedPlacement = tc.striped
 
 			want, err := TraceSimulate(sys, cfg, plainSource{newGen()})
 			if err != nil {

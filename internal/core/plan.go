@@ -45,9 +45,6 @@ func NewPlan(sys SystemConfig, cfg SimConfig, gen AccessSource) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.StaticOracle {
-		applyStaticOracle(tr, sys, gen, int64(spec.Seed))
-	}
 	if tr.ReplModel != nil {
 		// The policy selected the replica set; carry its timing model
 		// (write penalty) into the step-C windows.

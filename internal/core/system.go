@@ -187,9 +187,6 @@ var scratchPools sync.Map // scratchKey -> *sync.Pool
 // charge annex flush traffic for its metadata. The registry descriptor
 // declares it; static placement (oracle) never consults the tracker.
 func policyChargesTracker(cfg SimConfig) bool {
-	if cfg.StaticOracle {
-		return false
-	}
 	d, ok := migrate.LookupPolicy(cfg.Policy.CanonicalName())
 	return ok && d.UsesTracker
 }

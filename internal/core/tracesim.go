@@ -63,7 +63,7 @@ type TraceResult struct {
 // signature are memoized across variants (see ingestmemo.go): a repeat
 // of the same (stream, phase, tracker shape) restores the recorded
 // products by array copy instead of re-walking the stream.
-func ingestPhase(gen AccessSource, phase int, phaseInstr uint64, striped bool,
+func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 	home []topology.NodeID, sampler *tracker.Sampler, tbl *tracker.Table,
 	counts *migrate.PageCounts) {
 	s := gen.PhaseStream(phase, phaseInstr)
@@ -71,7 +71,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64, striped bool,
 	var key ingestKey
 	if memoable {
 		key = ingestKey{sig: s.Sig, phase: phase, kind: tbl.Kind(),
-			regionPages: tbl.RegionPages(), striped: striped}
+			regionPages: tbl.RegionPages()}
 		if e := lookupIngest(key); e != nil {
 			for i, p := range e.firstPages {
 				if home[p] == Unassigned {
@@ -150,11 +150,7 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 
 	home := make([]topology.NodeID, pages)
 	for i := range home {
-		if cfg.StripedPlacement {
-			home[i] = topology.NodeID(i % sockets)
-		} else {
-			home[i] = Unassigned
-		}
+		home[i] = Unassigned
 	}
 
 	tbl := tracker.NewTable(cfg.Tracker, pages, cfg.RegionPages)
@@ -200,7 +196,6 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		Seed:                       cfg.Migration.Seed,
 		WorkloadSeed:               int64(spec.Seed),
 		BaseMigration:              cfg.Migration,
-		BaselineMigrationLimit:     cfg.BaselineMigrationLimit,
 		Replication:                cfg.Replication,
 		Link: func(phase int) migrate.LinkHealth {
 			return linkHealth(sched, sys, topo, phase)
@@ -211,9 +206,6 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	policy, err := migrate.NewPolicy(policyName, cfg.Policy.Params, env)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.StaticOracle {
-		policy = migrate.NoMigration{}
 	}
 
 	res := &TraceResult{Totals: totals}
@@ -239,7 +231,7 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		} else {
 			tbl.Reset()
 		}
-		ingestPhase(gen, phase, cfg.PhaseInstr, cfg.StripedPlacement, home, sampler, tbl, counts)
+		ingestPhase(gen, phase, cfg.PhaseInstr, home, sampler, tbl, counts)
 		counts.AddInto(totals)
 		lastFB = migrate.ComputeFeedback(phase, counts, home, topo.HasPool(), topo.PoolNode())
 		if reg != nil {
@@ -325,7 +317,7 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	// A post-placing policy (the zero-cost oracle) replaces every
 	// checkpoint's placement with its whole-run computation and drops the
 	// dynamic migrations — §V-B's static placement studies as a policy.
-	if pp, ok := policy.(migrate.PostPlacer); ok && !cfg.StaticOracle {
+	if pp, ok := policy.(migrate.PostPlacer); ok {
 		placement := pp.PostPlace(totals)
 		for i := range res.Checkpoints {
 			res.Checkpoints[i].PageHome = placement
@@ -395,27 +387,4 @@ func linkHealth(sched *fault.Schedule, sys SystemConfig, topo *topology.Topology
 		h.PoolCapacityFrac = ps.CapacityFrac
 	}
 	return h
-}
-
-// checkpointMapWithStatic replaces every checkpoint's page map with the
-// oracle placement and drops all migrations (§V-B's static placement
-// studies).
-func applyStaticOracle(tr *TraceResult, sys SystemConfig, gen AccessSource, seed int64) {
-	topo := topology.New(sys.Topology)
-	cfg := migrate.StaticOracleConfig{
-		Sockets:             topo.Sockets(),
-		HasPool:             topo.HasPool(),
-		PoolNode:            topo.PoolNode(),
-		PoolSharerThreshold: 8,
-		Seed:                seed,
-	}
-	if topo.HasPool() {
-		cfg.PoolCapacityPages = sys.Pool.CapacityPages(gen.NumPages())
-	}
-	placement := migrate.StaticOraclePlacement(tr.Totals, cfg)
-	for i := range tr.Checkpoints {
-		tr.Checkpoints[i].PageHome = placement
-		tr.Checkpoints[i].Migrations = nil
-	}
-	tr.FinalHome = placement
 }

@@ -158,8 +158,7 @@ func (r *Runner) ExtDrift() (*Table, error) {
 	cfgB.Policy = core.PolicyPerfectBaseline
 	// Static oracle on the same architecture.
 	cfgS := r.opts.Sim
-	cfgS.Policy = core.PolicyNone
-	cfgS.StaticOracle = true
+	cfgS.Policy = core.PolicyOracle
 
 	drifts := []float64{0, 0.25, 0.5}
 	var cells []cell // per drift: dynamic, static, StarNUMA

@@ -298,8 +298,7 @@ func (r *Runner) Fig9() (*Table, error) {
 		Notes:   "static placement does not help the baseline (no good home for vagabond pages exists) but slightly beats dynamic StarNUMA (no migration overheads)",
 	}
 	cfgStatic := r.opts.Sim
-	cfgStatic.StaticOracle = true
-	cfgStatic.Policy = core.PolicyNone
+	cfgStatic.Policy = core.PolicyOracle
 	baseStatic := variant{"baseline-static", core.BaselineSystem(), cfgStatic}
 	snStatic := variant{"starnuma-static", core.StarNUMASystem(), cfgStatic}
 	g, err := r.grid(specs, r.baselineVariant(), r.starnumaVariant(), baseStatic, snStatic)

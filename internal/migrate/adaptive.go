@@ -16,9 +16,6 @@ type EpochAdaptive struct {
 	step         float64
 }
 
-// Name implements Policy.
-func (p *EpochAdaptive) Name() string { return "epoch-adaptive" }
-
 // Stats implements Policy.
 func (p *EpochAdaptive) Stats() Stats { return p.inner.Stats() }
 

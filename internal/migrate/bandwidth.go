@@ -21,9 +21,6 @@ type BandwidthAware struct {
 	backoffPhases uint64
 }
 
-// Name implements Policy.
-func (p *BandwidthAware) Name() string { return "bandwidth-aware" }
-
 // Stats implements Policy.
 func (p *BandwidthAware) Stats() Stats {
 	s := p.inner.Stats()

@@ -37,9 +37,6 @@ func NewPerfectBaseline(limit int) *PerfectBaseline {
 	return &PerfectBaseline{MinAccesses: 16, Gain: 1.6, MigrationLimit: limit}
 }
 
-// Name implements Policy.
-func (p *PerfectBaseline) Name() string { return "baseline-perfect" }
-
 // Stats returns decision counters.
 func (p *PerfectBaseline) Stats() Stats { return p.stats }
 
@@ -75,12 +72,9 @@ func (p *PerfectBaseline) Decide(phase int, st *State) []Migration {
 	return out
 }
 
-// NoMigration is a null policy: placement is whatever the initial
-// placement produced. Used for static-placement studies.
+// NoMigration is a null policy: placement stays wherever first touch
+// put it.
 type NoMigration struct{}
-
-// Name implements Policy.
-func (NoMigration) Name() string { return "static" }
 
 // Decide implements Policy.
 func (NoMigration) Decide(int, *State) []Migration { return nil }

@@ -11,6 +11,17 @@ func cyclesParam(p Params, name string, def sim.Cycles) sim.Cycles {
 	return sim.Cycles(p.Get(name, float64(def)))
 }
 
+// countParam reads a parameter that counts accesses or pages. Parameters
+// are outside input, and a negative count converted to an unsigned field
+// wraps to an implementation-dependent huge value, so it is rejected.
+func countParam(p Params, name string, def float64) (float64, error) {
+	v := p.Get(name, def)
+	if v < 0 {
+		return 0, fmt.Errorf("%s %v is negative", name, v)
+	}
+	return v, nil
+}
+
 // starnumaParams is the Algorithm 1 parameter schema, shared by every
 // policy that embeds the StarNUMA scan (epoch-adaptive, bandwidth-aware,
 // replication). Defaults of 0 mean "inherit the configured/auto-scaled
@@ -21,7 +32,7 @@ var starnumaParams = []ParamSpec{
 	{Name: "hi_min", Doc: "lower bound of the dynamic HI adjustment (0 = auto)"},
 	{Name: "hi_max", Doc: "upper bound of the dynamic HI adjustment (0 = auto)"},
 	{Name: "lo_max", Doc: "upper bound of the dynamic LO growth (0 = auto)"},
-	{Name: "migration_limit", Doc: "MIGRATION_LIMIT in pages per phase (0 = configured default)"},
+	{Name: "migration_limit", Doc: "MIGRATION_LIMIT in pages per phase (0 = no migrations; unset = configured default)"},
 	{Name: "pool_sharer_threshold", Doc: "sharer sockets at which a region goes to the pool", Default: 8},
 	{Name: "seed", Doc: "seed for Algorithm 1's random sharer choices", Default: 1},
 	{Name: "disable_pingpong", Doc: "non-0 disables ping-pong suppression (ablation)"},
@@ -30,29 +41,40 @@ var starnumaParams = []ParamSpec{
 // starnumaConfig resolves the effective Algorithm 1 configuration:
 // the configured base knobs (or AutoConfig when the caller passed none),
 // overridden by params, auto-scaled from the workload's region heat.
-func starnumaConfig(p Params, env PolicyEnv) Config {
+func starnumaConfig(p Params, env PolicyEnv) (Config, error) {
 	cfg := env.BaseMigration
 	if cfg == (Config{}) {
 		cfg = AutoConfig()
 	}
-	cfg.HiStart = uint32(p.Get("hi_start", float64(cfg.HiStart)))
-	cfg.LoStart = uint32(p.Get("lo_start", float64(cfg.LoStart)))
-	cfg.HiMin = uint32(p.Get("hi_min", float64(cfg.HiMin)))
-	cfg.HiMax = uint32(p.Get("hi_max", float64(cfg.HiMax)))
-	cfg.LoMax = uint32(p.Get("lo_max", float64(cfg.LoMax)))
+	for _, f := range []struct {
+		name string
+		v    *uint32
+	}{
+		{"hi_start", &cfg.HiStart}, {"lo_start", &cfg.LoStart},
+		{"hi_min", &cfg.HiMin}, {"hi_max", &cfg.HiMax}, {"lo_max", &cfg.LoMax},
+	} {
+		v, err := countParam(p, f.name, float64(*f.v))
+		if err != nil {
+			return Config{}, err
+		}
+		*f.v = uint32(v)
+	}
 	cfg.MigrationLimit = int(p.Get("migration_limit", float64(cfg.MigrationLimit)))
 	cfg.PoolSharerThreshold = int(p.Get("pool_sharer_threshold", float64(cfg.PoolSharerThreshold)))
 	cfg.Seed = int64(p.Get("seed", float64(cfg.Seed)))
 	if p.Get("disable_pingpong", 0) > 0 {
 		cfg.DisablePingPong = true
 	}
-	return cfg.AutoScale(env.MeanRegionAccessesPerPhase)
+	return cfg.AutoScale(env.MeanRegionAccessesPerPhase), nil
 }
 
 // newStarNUMAScan builds the Algorithm 1 scan shared by the StarNUMA
 // family, with factory-grade validation instead of NewStarNUMA's panic.
 func newStarNUMAScan(p Params, env PolicyEnv) (*StarNUMA, error) {
-	cfg := starnumaConfig(p, env)
+	cfg, err := starnumaConfig(p, env)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.MigrationLimit < 0 {
 		return nil, fmt.Errorf("migration_limit %d is negative", cfg.MigrationLimit)
 	}
@@ -78,17 +100,21 @@ func init() {
 		Name: "baseline-perfect",
 		Doc:  "paper's favoured baseline: zero-cost perfect per-page knowledge, socket-only moves (§IV-C)",
 		Params: []ParamSpec{
-			{Name: "migration_limit", Doc: "pages moved per phase (0 = configured default)", Default: 8192},
+			{Name: "migration_limit", Doc: "pages moved per phase (0 = no cap)", Default: 8192},
 			{Name: "min_accesses", Doc: "per-phase accesses below which a page is ignored", Default: 16},
 			{Name: "gain", Doc: "advantage factor the best socket needs over the home", Default: 1.6},
 		},
-		New: func(p Params, env PolicyEnv) (Policy, error) {
-			limit := env.BaselineMigrationLimit
-			if limit == 0 {
-				limit = 8192
+		New: func(p Params, _ PolicyEnv) (Policy, error) {
+			limit, err := countParam(p, "migration_limit", 8192)
+			if err != nil {
+				return nil, err
 			}
-			pol := NewPerfectBaseline(int(p.Get("migration_limit", float64(limit))))
-			pol.MinAccesses = uint32(p.Get("min_accesses", float64(pol.MinAccesses)))
+			pol := NewPerfectBaseline(int(limit))
+			minAcc, err := countParam(p, "min_accesses", float64(pol.MinAccesses))
+			if err != nil {
+				return nil, err
+			}
+			pol.MinAccesses = uint32(minAcc)
 			pol.Gain = p.Get("gain", pol.Gain)
 			if pol.Gain < 1 {
 				return nil, fmt.Errorf("gain %v must be ≥ 1", pol.Gain)

@@ -45,9 +45,8 @@ type PolicyEnv struct {
 	WorkloadSeed int64
 
 	// BaseMigration carries the SimConfig.Migration knobs (Algorithm 1
-	// family); BaselineMigrationLimit the perfect baseline's cap.
-	BaseMigration          Config
-	BaselineMigrationLimit int
+	// family).
+	BaseMigration Config
 
 	// Replication carries the SimConfig.Replication knobs; the
 	// replication policy falls back to DefaultReplicationConfig when the

@@ -75,8 +75,6 @@ type Policy interface {
 	// Decide inspects st at the end of the given phase (0-based),
 	// mutates st.PageHome, and returns the migrations performed.
 	Decide(phase int, st *State) []Migration
-	// Name identifies the policy in reports.
-	Name() string
 	// Stats returns the policy's lifetime decision counters (the zero
 	// Stats for policies that keep none).
 	Stats() Stats
@@ -218,9 +216,6 @@ func NewStarNUMA(cfg Config) *StarNUMA {
 	return &StarNUMA{cfg: cfg, hi: cfg.HiStart, lo: cfg.LoStart,
 		rng: rand.New(rand.NewSource(cfg.Seed))}
 }
-
-// Name implements Policy.
-func (p *StarNUMA) Name() string { return "starnuma" }
 
 // Stats returns decision counters.
 func (p *StarNUMA) Stats() Stats { return p.stats }

@@ -277,18 +277,6 @@ func TestStarNUMARequiresTracker(t *testing.T) {
 	p.Decide(0, &State{PageHome: make([]topology.NodeID, 8), Sockets: 16})
 }
 
-func TestPolicyNames(t *testing.T) {
-	if NewStarNUMA(DefaultConfig()).Name() != "starnuma" {
-		t.Fatal("starnuma name")
-	}
-	if NewPerfectBaseline(0).Name() != "baseline-perfect" {
-		t.Fatal("baseline name")
-	}
-	if (NoMigration{}).Name() != "static" {
-		t.Fatal("static name")
-	}
-}
-
 func TestStatsPoolFraction(t *testing.T) {
 	s := Stats{PagesToPool: 80, PagesToSocket: 20}
 	if got := s.PoolFraction(); got != 0.8 {

@@ -5,8 +5,7 @@ import "starnuma/internal/topology"
 // PostPlacer is implemented by policies that compute a whole-run static
 // placement once step B's trace is fully observed. core rewrites every
 // checkpoint's page map with the returned placement and drops all
-// migrations — the §V-B zero-cost methodology, generalized from the
-// StaticOracle flag into a first-class policy.
+// migrations — the §V-B zero-cost methodology.
 type PostPlacer interface {
 	// PostPlace returns the placement for every page, derived from the
 	// whole-run access totals.
@@ -21,9 +20,6 @@ type PostPlacer interface {
 type OraclePolicy struct {
 	cfg StaticOracleConfig
 }
-
-// Name implements Policy.
-func (*OraclePolicy) Name() string { return "oracle" }
 
 // Stats implements Policy.
 func (*OraclePolicy) Stats() Stats { return Stats{} }

@@ -92,9 +92,6 @@ type ReplicationPolicy struct {
 	nRepl      int
 }
 
-// Name implements Policy.
-func (p *ReplicationPolicy) Name() string { return "replication" }
-
 // Stats implements Policy.
 func (p *ReplicationPolicy) Stats() Stats { return p.inner.Stats() }
 
@@ -126,31 +123,52 @@ func (p *ReplicationPolicy) Decide(phase int, st *State) []Migration {
 	return kept
 }
 
-// updateReplicas grows the sticky replica set from this phase's counts:
-// qualifying pages (widely shared, read-mostly, hot enough) join in
-// descending heat order until the capacity budget is spent.
+// updateReplicas grows the sticky replica set from this phase's counts.
 func (p *ReplicationPolicy) updateReplicas(st *State) {
-	pages := len(st.PageHome)
 	if p.replicated == nil {
-		p.replicated = make([]bool, pages)
+		p.replicated = make([]bool, len(st.PageHome))
 	}
-	budget := int(p.cfg.CapacityFrac * float64(pages))
-	if p.nRepl >= budget {
-		return
+	p.nRepl = selectReplicas(st.Counts, p.cfg, p.hot, p.replicated, p.nRepl)
+}
+
+// ReplicationSet selects the pages to replicate from whole-run access
+// knowledge: the hottest pages that are widely shared and read-mostly,
+// up to the capacity budget. Like the static oracle, the study is
+// deliberately idealized — it measures replication's best case.
+func ReplicationSet(total *PageCounts, cfg ReplicationConfig) []bool {
+	out := make([]bool, total.Pages())
+	if cfg.Enable {
+		// Any page with a sharer has been accessed, so a floor of one
+		// access admits every widely-shared page.
+		selectReplicas(total, cfg, 1, out, 0)
+	}
+	return out
+}
+
+// selectReplicas adds replication candidates to set, which already holds
+// n pages, and returns its new size. A candidate is not yet in set, has
+// at least cfg.MinSharers sharer sockets, writes at most
+// cfg.MaxWriteFrac of its accesses and has at least floor accesses in
+// counts. Candidates join hottest first (ties by page) until set holds
+// the cfg.CapacityFrac budget.
+func selectReplicas(counts *PageCounts, cfg ReplicationConfig, floor uint64, set []bool, n int) int {
+	budget := int(cfg.CapacityFrac * float64(len(set)))
+	if n >= budget {
+		return n
 	}
 	type cand struct {
 		pg  uint32
 		tot uint64
 	}
 	var cands []cand
-	for pg := 0; pg < pages; pg++ {
+	for pg, in := range set {
 		u := uint32(pg)
-		if p.replicated[pg] {
+		if in {
 			continue
 		}
-		tot := st.Counts.Total(u)
-		if tot < p.hot || st.Counts.Sharers(u) < p.cfg.MinSharers ||
-			st.Counts.WriteFrac(u) > p.cfg.MaxWriteFrac {
+		tot := counts.Total(u)
+		if tot < floor || counts.Sharers(u) < cfg.MinSharers ||
+			counts.WriteFrac(u) > cfg.MaxWriteFrac {
 			continue
 		}
 		cands = append(cands, cand{u, tot})
@@ -162,44 +180,11 @@ func (p *ReplicationPolicy) updateReplicas(st *State) {
 		return cands[i].pg < cands[j].pg
 	})
 	for _, c := range cands {
-		if p.nRepl >= budget {
+		if n >= budget {
 			break
 		}
-		p.replicated[c.pg] = true
-		p.nRepl++
+		set[c.pg] = true
+		n++
 	}
-}
-
-// ReplicationSet selects the pages to replicate from whole-run access
-// knowledge: the hottest pages that are widely shared and read-mostly,
-// up to the capacity budget. Like the static oracle, the study is
-// deliberately idealized — it measures replication's best case.
-func ReplicationSet(total *PageCounts, cfg ReplicationConfig) []bool {
-	pages := total.Pages()
-	out := make([]bool, pages)
-	if !cfg.Enable {
-		return out
-	}
-	type cand struct {
-		pg  uint32
-		tot uint64
-	}
-	var cands []cand
-	for pg := 0; pg < pages; pg++ {
-		p := uint32(pg)
-		if total.Sharers(p) >= cfg.MinSharers && total.WriteFrac(p) <= cfg.MaxWriteFrac && total.Total(p) > 0 {
-			cands = append(cands, cand{p, total.Total(p)})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].tot != cands[j].tot {
-			return cands[i].tot > cands[j].tot
-		}
-		return cands[i].pg < cands[j].pg
-	})
-	budget := int(cfg.CapacityFrac * float64(pages))
-	for i := 0; i < len(cands) && i < budget; i++ {
-		out[cands[i].pg] = true
-	}
-	return out
+	return n
 }

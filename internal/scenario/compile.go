@@ -149,9 +149,7 @@ func (c *Compiled) compileSim() {
 		cfg.Phases = s.Sim.Phases
 	}
 	// The named policy comes straight from the migrate registry
-	// (Validate already checked name and parameter keys). Legacy names
-	// without parameters keep their historical cache-key encoding via
-	// the PolicySpec codec.
+	// (Validate already checked name and parameter keys).
 	if s.Sim.Policy != "" || len(s.Sim.PolicyParams) > 0 {
 		cfg.Policy = core.PolicySpec{Name: s.Sim.Policy, Params: migrate.Params(s.Sim.PolicyParams)}
 		if cfg.Policy.Name == "" {
