@@ -319,10 +319,6 @@ func (r *refLLC) Reset() {
 // so sets overflow often, and compares every return value and the
 // counters after every operation.
 func TestMatchesReferenceLRU(t *testing.T) {
-	ops := 1_000_000
-	if testing.Short() {
-		ops = 100_000
-	}
 	for _, g := range []struct {
 		name  string
 		bytes int64
@@ -338,6 +334,13 @@ func TestMatchesReferenceLRU(t *testing.T) {
 			c := New(g.bytes, g.ways)
 			r := newRefLLC(c.Sets(), c.Ways())
 			span := 3 * c.CapacityBlocks()
+			ops := 1_000_000
+			if testing.Short() {
+				// Four capacities' worth: each quarter-run reset interval
+				// then inserts ~40% of capacity, so the fullest sets still
+				// overflow between resets on the largest geometry.
+				ops = max(100_000, 4*c.CapacityBlocks())
+			}
 			resetEvery := 2 * span
 			if resetEvery > ops/4 {
 				resetEvery = ops / 4

@@ -7,16 +7,21 @@ import "math/bits"
 // simulator's dense-timestamp common case. Most scheduled events land
 // within a couple of microseconds of the clock (link hops, DRAM
 // accesses, compute wakes), so O(log n) heap sifting per event is
-// replaced by O(1) bucket appends plus a bitmap scan per pop. Events
+// replaced by O(1) bucket links plus a bitmap scan per pop. Events
 // beyond the wheel's horizon (sparse horizons: migration kick-offs,
 // replica-write penalties) overflow into a min-heap and are drained
 // into the wheel as the clock approaches them.
 //
+// Wheel events live in one node slab: each bucket is a list linked
+// through it by int32 index, and popped nodes go on a LIFO free list,
+// so a step-C window's few hundred live events stay in a few KB of
+// recently touched nodes, not in arrays cold since the wheel's last lap.
+//
 // Determinism: pop returns the global minimum under the (at, seq) total
 // order. seq is unique, so the pop sequence — and therefore every
 // simulation result — is bit-identical to the binary-heap
-// implementation this replaces. The differential test in queue_test.go
-// pins exactly that property.
+// implementation this replaces, whatever order a bucket's list is in.
+// The differential test in queue_test.go pins exactly that property.
 const (
 	// bucketShift sets the bucket width: 1<<8 ps = 256ps, around one
 	// core cycle — fine enough that same-bucket scans (linear per pop)
@@ -30,14 +35,23 @@ const (
 	wheelSpan   = Time(bucketCount << bucketShift)
 )
 
+// node is one slab slot: an event and the index of the next node in its
+// bucket or the free list. Index 0 is the sentinel that ends each list.
+type node struct {
+	scheduled
+	next int32
+}
+
 // eventQueue is the calendar queue: a ring of time buckets with an
 // occupancy bitmap, plus the far-future overflow heap. The zero value
-// is ready to use (buckets allocate lazily on first push).
+// is ready to use.
 type eventQueue struct {
 	size    int // total events queued (wheel + far)
 	inWheel int
 
-	buckets [][]scheduled // len bucketCount once initialised
+	heads   [bucketCount]int32 // slab index of each bucket's first node
+	nodes   []node             // the slab; nodes[0] is the sentinel
+	free    int32              // first node of the free list
 	occ     [occWords]uint64
 	base    Time // start time of the bucket at baseIdx
 	baseIdx int
@@ -47,27 +61,34 @@ type eventQueue struct {
 
 //starnuma:hotpath called once per scheduled event
 func (q *eventQueue) push(it scheduled) {
-	if q.buckets == nil {
-		q.init()
-	}
 	q.size++
 	// it.at >= engine.now >= q.base always holds: base only advances to
 	// the bucket of an event that has been popped (now = its at), and
 	// the engine rejects past scheduling.
 	if d := it.at - q.base; d < wheelSpan {
-		idx := (q.baseIdx + int(d>>bucketShift)) & bucketMask
-		//starnumavet:allow hotalloc amortized bucket growth; capacity is retained across the whole run
-		q.buckets[idx] = append(q.buckets[idx], it)
-		q.occ[idx>>6] |= 1 << uint(idx&63)
-		q.inWheel++
+		q.link((q.baseIdx+int(d>>bucketShift))&bucketMask, it)
 		return
 	}
 	q.far.push(it)
 }
 
-//starnuma:coldpath once per engine lifetime
-func (q *eventQueue) init() {
-	q.buckets = make([][]scheduled, bucketCount)
+// link files it at the front of bucket idx, in the most recently freed
+// node or, when the free list is empty, a new node at the slab's end.
+//
+//starnuma:hotpath called once per wheel insertion
+func (q *eventQueue) link(idx int, it scheduled) {
+	n := q.free
+	if n != 0 {
+		q.free = q.nodes[n].next
+	} else {
+		n = int32(max(len(q.nodes), 1))
+		//starnumavet:allow hotalloc amortized slab growth (the first also adds the sentinel); capacity is retained across the whole run
+		q.nodes = append(q.nodes, make([]node, int(n)+1-len(q.nodes))...)
+	}
+	q.nodes[n] = node{scheduled: it, next: q.heads[idx]}
+	q.heads[idx] = n
+	q.occ[idx>>6] |= 1 << uint(idx&63)
+	q.inWheel++
 }
 
 // settle prepares the queue for a minimum lookup: it relocates the
@@ -86,11 +107,7 @@ func (q *eventQueue) settle() int {
 	}
 	for len(q.far) > 0 && q.far[0].at-q.base < wheelSpan {
 		it := q.far.pop()
-		idx := (q.baseIdx + int((it.at-q.base)>>bucketShift)) & bucketMask
-		//starnumavet:allow hotalloc amortized bucket growth on far-heap drain
-		q.buckets[idx] = append(q.buckets[idx], it)
-		q.occ[idx>>6] |= 1 << uint(idx&63)
-		q.inWheel++
+		q.link((q.baseIdx+int((it.at-q.base)>>bucketShift))&bucketMask, it)
 	}
 	idx := q.nextOccupied()
 	if steps := (idx - q.baseIdx) & bucketMask; steps != 0 {
@@ -123,21 +140,23 @@ func (q *eventQueue) nextOccupied() int {
 //starnuma:hotpath called once per dispatched event
 func (q *eventQueue) pop() scheduled {
 	idx := q.settle()
-	b := q.buckets[idx]
-	best := 0
-	for i := 1; i < len(b); i++ {
-		if b[i].at < b[best].at || (b[i].at == b[best].at && b[i].seq < b[best].seq) {
-			best = i
+	nodes := q.nodes
+	// bestLink is the link (bucket head or next field) to the best node.
+	bestLink := &q.heads[idx]
+	for l := &nodes[*bestLink].next; *l != 0; l = &nodes[*l].next {
+		if c, b := &nodes[*l], &nodes[*bestLink]; c.at < b.at || (c.at == b.at && c.seq < b.seq) {
+			bestLink = l
 		}
 	}
-	it := b[best]
-	last := len(b) - 1
-	b[best] = b[last]
-	b[last] = scheduled{} // drop the closure reference so finished events can be collected
-	q.buckets[idx] = b[:last]
-	if last == 0 {
+	best := *bestLink
+	b := &nodes[best]
+	it := b.scheduled
+	*bestLink = b.next
+	if q.heads[idx] == 0 {
 		q.occ[idx>>6] &^= 1 << uint(idx&63)
 	}
+	*b = node{next: q.free} // drops the closure so finished events can be collected
+	q.free = best
 	q.inWheel--
 	q.size--
 	return it
@@ -147,42 +166,23 @@ func (q *eventQueue) pop() scheduled {
 // it. The queue must be non-empty.
 func (q *eventQueue) peekAt() Time {
 	idx := q.settle()
-	b := q.buckets[idx]
-	at := b[0].at
-	for i := 1; i < len(b); i++ {
-		if b[i].at < at {
-			at = b[i].at
-		}
+	n := q.heads[idx]
+	at := q.nodes[n].at
+	for n = q.nodes[n].next; n != 0; n = q.nodes[n].next {
+		at = min(at, q.nodes[n].at)
 	}
 	return at
 }
 
 // reset empties the queue (dropping any still-scheduled events and
 // their closure references) and rewinds the wheel to time zero, keeping
-// every allocated bucket's capacity for reuse.
+// the slab's and far heap's capacity for reuse.
 //
 //starnuma:coldpath once per window on engine reuse
 func (q *eventQueue) reset() {
-	if q.size != 0 {
-		for w, word := range q.occ {
-			for word != 0 {
-				idx := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				b := q.buckets[idx]
-				for i := range b {
-					b[i] = scheduled{}
-				}
-				q.buckets[idx] = b[:0]
-			}
-			q.occ[w] = 0
-		}
-		for i := range q.far {
-			q.far[i] = scheduled{}
-		}
-		q.far = q.far[:0]
-	}
-	q.size, q.inWheel = 0, 0
-	q.base, q.baseIdx = 0, 0
+	clear(q.nodes)
+	clear(q.far)
+	*q = eventQueue{nodes: q.nodes[:0], far: q.far[:0]}
 }
 
 // farHeap is a binary min-heap of scheduled events ordered by
