@@ -21,21 +21,24 @@ import (
 	"os"
 	"time"
 
+	"starnuma/internal/core"
 	"starnuma/internal/exp"
 	"starnuma/internal/prof"
 )
 
 // benchExperiment is one per-experiment timing record of -benchjson.
-// Windows counts the step-C windows actually simulated for the
-// experiment, and WindowsPerSec is the simulation throughput those
+// Windows counts the step-C window jobs the experiment completed,
+// whether simulated or recalled from the window memo (WindowMemoHits
+// of them were recalled), and WindowsPerSec is the throughput those
 // windows achieved. Experiments whose runs all came from the in-suite
-// memo or the result cache simulate nothing; their Windows is 0 and
+// memo or the result cache run no windows; their Windows is 0 and
 // WindowsPerSec is omitted rather than written as a misleading 0.
 type benchExperiment struct {
-	ID            string  `json:"id"`
-	Seconds       float64 `json:"seconds"`
-	Windows       int64   `json:"windows"`
-	WindowsPerSec float64 `json:"windows_per_sec,omitempty"`
+	ID             string  `json:"id"`
+	Seconds        float64 `json:"seconds"`
+	Windows        int64   `json:"windows"`
+	WindowsPerSec  float64 `json:"windows_per_sec,omitempty"`
+	WindowMemoHits int64   `json:"window_memo_hits"`
 }
 
 // benchReport is the -benchjson document. WindowsPerSec is the suite's
@@ -44,16 +47,17 @@ type benchExperiment struct {
 // meaningful for cache-disabled runs (windows_done is 0 on a full
 // cache hit).
 type benchReport struct {
-	Timestamp     string            `json:"timestamp"`
-	Quick         bool              `json:"quick"`
-	Scale         float64           `json:"scale"`
-	Jobs          int               `json:"jobs"`
-	SuiteSeconds  float64           `json:"suite_seconds"`
-	CacheHits     int64             `json:"cache_hits"`
-	CacheMisses   int64             `json:"cache_misses"`
-	WindowsDone   int64             `json:"windows_done"`
-	WindowsPerSec float64           `json:"windows_per_sec"`
-	Experiments   []benchExperiment `json:"experiments"`
+	Timestamp      string            `json:"timestamp"`
+	Quick          bool              `json:"quick"`
+	Scale          float64           `json:"scale"`
+	Jobs           int               `json:"jobs"`
+	SuiteSeconds   float64           `json:"suite_seconds"`
+	CacheHits      int64             `json:"cache_hits"`
+	CacheMisses    int64             `json:"cache_misses"`
+	WindowsDone    int64             `json:"windows_done"`
+	WindowsPerSec  float64           `json:"windows_per_sec"`
+	WindowMemoHits int64             `json:"window_memo_hits"`
+	Experiments    []benchExperiment `json:"experiments"`
 }
 
 func main() {
@@ -100,6 +104,7 @@ func main() {
 	for _, id := range exp.IDs() {
 		t0 := time.Now()
 		prevWindows := r.Exec().Metrics().WindowsDone
+		prevHits := core.WindowMemo().Hits
 		table, err := r.ByID(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expall: %s: %v\n", id, err)
@@ -111,7 +116,8 @@ func main() {
 		if secs > 0 {
 			wps = float64(windows) / secs
 		}
-		timings = append(timings, benchExperiment{ID: id, Seconds: secs, Windows: windows, WindowsPerSec: wps})
+		timings = append(timings, benchExperiment{ID: id, Seconds: secs, Windows: windows,
+			WindowsPerSec: wps, WindowMemoHits: core.WindowMemo().Hits - prevHits})
 		rendered, err := table.Format(*format)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expall: %v\n", err)
@@ -130,15 +136,16 @@ func main() {
 	}
 	if *benchJSON != "" {
 		report := benchReport{
-			Timestamp:    start.UTC().Format(time.RFC3339),
-			Quick:        cli.Quick,
-			Scale:        opts.Scale,
-			Jobs:         r.Exec().Jobs(),
-			SuiteSeconds: elapsed.Seconds(),
-			CacheHits:    m.CacheHits,
-			CacheMisses:  m.CacheMisses,
-			WindowsDone:  m.WindowsDone,
-			Experiments:  timings,
+			Timestamp:      start.UTC().Format(time.RFC3339),
+			Quick:          cli.Quick,
+			Scale:          opts.Scale,
+			Jobs:           r.Exec().Jobs(),
+			SuiteSeconds:   elapsed.Seconds(),
+			CacheHits:      m.CacheHits,
+			CacheMisses:    m.CacheMisses,
+			WindowsDone:    m.WindowsDone,
+			WindowMemoHits: core.WindowMemo().Hits,
+			Experiments:    timings,
 		}
 		if report.SuiteSeconds > 0 {
 			report.WindowsPerSec = float64(report.WindowsDone) / report.SuiteSeconds

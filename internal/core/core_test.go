@@ -253,6 +253,7 @@ func TestRunDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ResetWindowMemo() // simulate the windows again, not recall them
 	r2, err := Run(StarNUMASystem(), cfg, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -49,6 +49,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	cfg := faultSim()
 	cfg.Faults = fault.FlapPlan()
 	a := resultJSON(t, sys, cfg, "BFS")
+	ResetWindowMemo() // simulate the windows again, not recall them
 	b := resultJSON(t, sys, cfg, "BFS")
 	if string(a) != string(b) {
 		t.Fatalf("same plan+seed differs:\n%s\n%s", a, b)

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sync"
-
+	"starnuma/internal/lru"
 	"starnuma/internal/migrate"
 	"starnuma/internal/topology"
 	"starnuma/internal/tracker"
@@ -51,7 +50,6 @@ type ingestEntry struct {
 	// The phase's first-touch assignments, in stream order.
 	firstPages []uint32
 	firstHomes []topology.NodeID
-	lastUse    int64
 }
 
 func (e *ingestEntry) bytes() int64 {
@@ -66,56 +64,4 @@ func (e *ingestEntry) bytes() int64 {
 // dropped past it.
 const ingestCacheCap = 2 << 30
 
-var ingestCache struct {
-	sync.Mutex
-	entries map[ingestKey]*ingestEntry
-	total   int64
-	tick    int64
-}
-
-// lookupIngest returns the memoized ingest for key, or nil.
-func lookupIngest(key ingestKey) *ingestEntry {
-	c := &ingestCache
-	c.Lock()
-	defer c.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		return nil
-	}
-	c.tick++
-	e.lastUse = c.tick
-	return e
-}
-
-// storeIngest inserts e, evicting least-recently-used entries to stay
-// under the byte cap. Oversized entries are simply not cached.
-func storeIngest(key ingestKey, e *ingestEntry) {
-	sz := e.bytes()
-	if sz > ingestCacheCap {
-		return
-	}
-	c := &ingestCache
-	c.Lock()
-	defer c.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[ingestKey]*ingestEntry)
-	}
-	if _, dup := c.entries[key]; dup {
-		return // lost a race; keep the resident copy
-	}
-	for c.total+sz > ingestCacheCap && len(c.entries) > 0 {
-		var victim ingestKey
-		oldest := int64(1<<63 - 1)
-		for k, old := range c.entries {
-			if old.lastUse < oldest {
-				oldest, victim = old.lastUse, k
-			}
-		}
-		c.total -= c.entries[victim].bytes()
-		delete(c.entries, victim)
-	}
-	c.tick++
-	e.lastUse = c.tick
-	c.entries[key] = e
-	c.total += sz
-}
+var ingestCache = lru.New[ingestKey](ingestCacheCap, (*ingestEntry).bytes)

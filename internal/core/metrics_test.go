@@ -77,6 +77,7 @@ func TestMetricsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ResetWindowMemo() // simulate the windows again, not recall them
 	r2, err := Run(sys, cfg, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -74,11 +74,25 @@ type Window struct {
 // replay the same per-core streams as the source the plan was built
 // from; a fresh generator built from the same spec is equivalent, since
 // streams are pure functions of (seed, core, phase) — that purity is
-// what lets concurrent windows each own a private source.
+// what lets concurrent windows each own a private source. A window
+// whose inputs match an earlier one's is recalled from the window memo
+// (windowmemo.go) instead of simulated.
 //
 //starnuma:hotpath step-C entry point, one call per (window, worker)
 func (p *Plan) RunWindow(i int, gen AccessSource) Window {
-	return Window{stats: runWindow(p.sys, p.cfg, gen, p.tr.Checkpoints[i], p.tr.Replicated)}
+	chk := p.tr.Checkpoints[i]
+	sig := gen.PhaseStream(chk.Phase, p.cfg.PhaseInstr).Sig
+	key, memoable := windowKeyOf(p.sys, p.cfg, sig, chk, p.tr.Replicated)
+	if memoable {
+		if w, ok := recallWindow(key); ok {
+			return Window{stats: w}
+		}
+	}
+	w := runWindow(p.sys, p.cfg, gen, chk, p.tr.Replicated)
+	if memoable {
+		storeWindow(key, w)
+	}
+	return Window{stats: w}
 }
 
 // NewResult initialises the aggregate result: header fields, step-B

@@ -61,6 +61,7 @@ func TestOutOfOrderWindowsAssembleIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ResetWindowMemo() // simulate the windows again, not recall them
 	p, newGen := planFor(t, sys, cfg, spec)
 	n := p.NumWindows()
 	if n != cfg.Phases {

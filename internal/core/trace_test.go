@@ -16,6 +16,7 @@ func TestTraceOffBitIdentical(t *testing.T) {
 	cfg := faultSim()
 	want := resultJSON(t, sys, cfg, "BFS")
 	cfg.Trace = false // explicit, same as zero value
+	ResetWindowMemo() // simulate the windows again, not recall them
 	got := resultJSON(t, sys, cfg, "BFS")
 	if !bytes.Equal(want, got) {
 		t.Fatalf("trace-off config perturbed the result:\n%s\n%s", want, got)

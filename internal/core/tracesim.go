@@ -72,7 +72,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 	if memoable {
 		key = ingestKey{sig: s.Sig, phase: phase, kind: tbl.Kind(),
 			regionPages: tbl.RegionPages()}
-		if e := lookupIngest(key); e != nil {
+		if e, ok := ingestCache.Get(key); ok {
 			for i, p := range e.firstPages {
 				if home[p] == Unassigned {
 					home[p] = e.firstHomes[i]
@@ -130,7 +130,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 		}
 	}
 	if memoable {
-		storeIngest(key, &ingestEntry{tbl: tbl.SaveState(), pc: counts.SaveState(),
+		ingestCache.Put(key, &ingestEntry{tbl: tbl.SaveState(), pc: counts.SaveState(),
 			firstPages: firstPages, firstHomes: firstHomes})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"starnuma/internal/core"
 )
 
 // sweepOpts is a policysweep configuration small enough for a test:
@@ -30,6 +32,7 @@ func TestPolicySweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.ResetWindowMemo() // simulate every window, not recall it
 	t8, err := NewRunner(sweepOpts(8)).PolicySweep()
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"starnuma/internal/core"
 	"starnuma/internal/scenario"
 )
 
@@ -107,6 +108,7 @@ func TestScenarioVerdictWorkerCountInvariant(t *testing.T) {
 		return b
 	}
 	serial := encode(1)
+	core.ResetWindowMemo() // simulate every window, not recall it
 	parallel := encode(8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("verdict differs across worker counts:\njobs=1:\n%s\njobs=8:\n%s", serial, parallel)

@@ -45,6 +45,8 @@ func (h Histogram) merge(o Histogram) Histogram {
 		return h
 	}
 	if h.Count == 0 {
+		// Copy the buckets so the merged result never aliases o.
+		o.Buckets = append([]Bucket(nil), o.Buckets...)
 		return o
 	}
 	out := Histogram{

@@ -32,6 +32,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 	var ref []byte
 	for _, workers := range []int{1, 2, 8} {
+		core.ResetWindowMemo() // simulate every window, not recall it
 		results, err := New(Config{Jobs: workers}).RunAll(jobs)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", workers, err)
@@ -69,6 +70,7 @@ func TestFaultDeterminismAcrossWorkerCounts(t *testing.T) {
 
 	var ref []byte
 	for _, workers := range []int{1, 8} {
+		core.ResetWindowMemo() // simulate every window, not recall it
 		results, err := New(Config{Jobs: workers}).RunAll(jobs)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", workers, err)
@@ -167,6 +169,7 @@ func TestAttribDeterminismAcrossWorkerCounts(t *testing.T) {
 
 	var ref []byte
 	for _, workers := range []int{1, 8} {
+		core.ResetWindowMemo() // simulate every window, not recall it
 		results, err := New(Config{Jobs: workers}).RunAll(jobs)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", workers, err)

@@ -49,7 +49,7 @@ type Config struct {
 type Metrics struct {
 	RunsStarted int64 // run-level jobs begun (including cache hits)
 	RunsDone    int64 // run-level jobs completed
-	WindowsDone int64 // step-C window jobs completed
+	WindowsDone int64 // step-C window jobs completed, simulated or recalled from core's window memo
 	CacheHits   int64 // runs satisfied from the persistent cache
 	CacheMisses int64 // runs that had to simulate (cache enabled only)
 }

@@ -49,6 +49,7 @@ func TestRunMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.ResetWindowMemo() // simulate the windows again, not recall them
 	got, err := New(Config{Jobs: 4}).Run("test/BFS", sys, cfg, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -191,6 +191,16 @@ func (a *AMAT) Contention() sim.Time {
 	return d
 }
 
+// Clone returns an independent copy of a.
+func (a *AMAT) Clone() *AMAT {
+	c := *a
+	if a.unloadedOverride != nil {
+		l := *a.unloadedOverride
+		c.unloadedOverride = &l
+	}
+	return &c
+}
+
 // Merge combines another accumulator into a (checkpoint aggregation).
 func (a *AMAT) Merge(other *AMAT) {
 	a.sumLatency += other.sumLatency

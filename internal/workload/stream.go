@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"sync"
+
+	"starnuma/internal/lru"
 )
 
 // This file implements the phase-stream cache and the generator pool —
@@ -106,64 +108,7 @@ type streamKey struct {
 // suite.
 const streamCacheCap = 6 << 30
 
-var streamCache struct {
-	sync.Mutex
-	entries map[streamKey]*streamEntry
-	total   int64
-	tick    int64
-}
-
-type streamEntry struct {
-	s       *PhaseStream
-	lastUse int64
-}
-
-// lookupStream returns the cached stream for key, or nil.
-func lookupStream(key streamKey) *PhaseStream {
-	c := &streamCache
-	c.Lock()
-	defer c.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		return nil
-	}
-	c.tick++
-	e.lastUse = c.tick
-	return e.s
-}
-
-// storeStream inserts s, evicting least-recently-used entries to stay
-// under the byte cap. Streams larger than the cap are simply not cached
-// (the caller keeps its reference either way).
-func storeStream(key streamKey, s *PhaseStream) {
-	sz := s.bytes()
-	if sz > streamCacheCap {
-		return
-	}
-	c := &streamCache
-	c.Lock()
-	defer c.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[streamKey]*streamEntry)
-	}
-	if _, dup := c.entries[key]; dup {
-		return // lost a race; keep the resident copy
-	}
-	for c.total+sz > streamCacheCap && len(c.entries) > 0 {
-		var victim streamKey
-		oldest := int64(1<<63 - 1)
-		for k, e := range c.entries {
-			if e.lastUse < oldest {
-				oldest, victim = e.lastUse, k
-			}
-		}
-		c.total -= c.entries[victim].s.bytes()
-		delete(c.entries, victim)
-	}
-	c.tick++
-	c.entries[key] = &streamEntry{s: s, lastUse: c.tick}
-	c.total += sz
-}
+var streamCache = lru.New[streamKey](streamCacheCap, (*PhaseStream).bytes)
 
 // streamSig derives the cache signature for a generator+budget. Spec is
 // a plain value type (its only reference field is the Classes slice of
@@ -207,13 +152,13 @@ func (g *Generator) PhaseStream(phase int, budget uint64) *PhaseStream {
 // recording it on a cache miss, and rewinds every core's cursor.
 func (g *Generator) loadStream(phase int) {
 	key := streamKey{sig: g.sig, phase: phase}
-	s := lookupStream(key)
-	if s == nil {
+	s, ok := streamCache.Get(key)
+	if !ok {
 		// Recording consumes the per-core RNG streams, which is safe
 		// because replay mode never touches them again this phase.
 		s = RecordStream(len(g.rngs), g.budget, g.generate)
 		s.Sig = g.sig
-		storeStream(key, s)
+		streamCache.Put(key, s)
 	}
 	g.stream = s
 	if g.cursor == nil {
