@@ -1,28 +1,29 @@
 package main
 
 import (
+	"flag"
 	"fmt"
-	"os"
 
 	"starnuma/internal/migrate"
 )
 
-const policyUsage = `usage: starnuma policy list
-
-Commands:
-  list  list registered migration policies and their parameters
-
-Select a policy for a run with -policy name or -policy 'name:{json-params}',
+var policyGroup = group{
+	name:    "policy",
+	summary: "list the registered migration policies (internal/migrate)",
+	notes: `Select a policy for a run with -policy name or -policy 'name:{json-params}',
 e.g. -policy 'starnuma:{"hi_start":64}'.
-`
+`,
+	cmds: []command{
+		{"list", "", "list registered migration policies and their parameters", policyList},
+	},
+}
 
-// policyMain implements the `starnuma policy` subcommands over the
-// migrate registry — the same source of truth -policy validation, the
-// scenario DSL and the policysweep tournament use.
-func policyMain(args []string) int {
-	if len(args) == 0 || args[0] != "list" {
-		fmt.Fprint(os.Stderr, policyUsage)
-		return exitUsage
+// policyList prints the migrate registry — the same source of truth
+// -policy validation, the scenario DSL and the policysweep tournament
+// use.
+func policyList(fs *flag.FlagSet, args []string) error {
+	if err := parse(fs, args, 0, 0); err != nil {
+		return err
 	}
 	for _, d := range migrate.Policies() {
 		fmt.Printf("%-18s %s\n", d.Name, d.Doc)
@@ -30,5 +31,5 @@ func policyMain(args []string) int {
 			fmt.Printf("    %-24s %s (default %g)\n", p.Name, p.Doc, p.Default)
 		}
 	}
-	return exitOK
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -8,50 +9,18 @@ import (
 	"starnuma/internal/attrib"
 )
 
-const profUsage = `usage: starnuma prof <command> [flags] <profiles.json> [b.json]
-
-Commands:
-  report  per-run stall breakdown by category (and socket)
-  diff    category share shift between two documents or two groups
-  flame   folded stacks (flamegraph.pl format) or speedscope JSON
-
-Flags:
-  report: [-sockets] [-require] profiles.json
-      -sockets   also print the per-socket stall split
-      -require   exit 3 unless every profile conserves stall time exactly
-  diff:   [-a substr] [-b substr] a.json [b.json]
-      -a/-b      group runs by key/workload/policy substring; with one
-                 file both groups come from it, with two files -a
-                 filters the first and -b the second
-  flame:  [-speedscope out.json] profiles.json
-      -speedscope  write a speedscope sampled profile to this file
-                   instead of printing folded stacks
-
-Profile documents come from any experiment run with -attrib, e.g.
-starnuma -exp fig8a -quick -attrib profiles.json.
-`
-
-// profMain implements the `starnuma prof` subcommands over stall
-// attribution documents written by -attrib (internal/attrib).
-func profMain(args []string) int {
-	if len(args) == 0 || args[0] == "-h" || args[0] == "-help" || args[0] == "help" {
-		fmt.Fprint(os.Stderr, profUsage)
-		if len(args) == 0 {
-			return exitUsage
-		}
-		return exitOK
-	}
-	switch args[0] {
-	case "report":
-		return profReport(args[1:])
-	case "diff":
-		return profDiff(args[1:])
-	case "flame":
-		return profFlame(args[1:])
-	default:
-		fmt.Fprintf(os.Stderr, "starnuma prof: unknown command %q\n%s", args[0], profUsage)
-		return exitUsage
-	}
+var profGroup = group{
+	name:    "prof",
+	summary: "inspect stall-attribution documents written by -attrib",
+	notes: `diff's -a/-b select runs by key/workload/policy substring: with one
+file both groups come from it, with two -a filters the first and -b
+the second.
+`,
+	cmds: []command{
+		{"report", "[-sockets] [-require] profiles.json", "per-run stall breakdown by category (and socket)", profReport},
+		{"diff", "[-a substr] [-b substr] a.json [b.json]", "category share shift between two documents or two groups", profDiff},
+		{"flame", "[-speedscope out.json] profiles.json", "folded stacks (flamegraph.pl format) or speedscope JSON", profFlame},
+	},
 }
 
 // loadProfDoc reads and validates one stall-profile document.
@@ -63,62 +32,48 @@ func loadProfDoc(path string) (*attrib.Doc, error) {
 	return attrib.DecodeDoc(data)
 }
 
-func profReport(args []string) int {
-	fs := flag.NewFlagSet("starnuma prof report", flag.ContinueOnError)
+func profReport(fs *flag.FlagSet, args []string) error {
 	sockets := fs.Bool("sockets", false, "also print the per-socket stall split")
 	require := fs.Bool("require", false, "exit 3 unless every profile conserves stall time exactly")
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprint(os.Stderr, profUsage)
-		return exitUsage
+	if err := parse(fs, args, 1, 1); err != nil {
+		return err
 	}
 	d, err := loadProfDoc(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
-		return exitRuntime
+		return err
 	}
-	code := exitOK
+	var failed error
 	if *require {
 		for i := range d.Runs {
 			if err := d.Runs[i].Profile.CheckConservation(); err != nil {
-				fmt.Fprintf(os.Stderr, "starnuma prof: run %s: %v\n", d.Runs[i].Key, err)
-				code = exitAssertion
+				fmt.Fprintf(os.Stderr, "starnuma prof report: run %s: %v\n", d.Runs[i].Key, err)
+				failed = &exitError{exitAssertion, nil}
 			}
 		}
 	}
 	fmt.Print(attrib.RenderReport(d, *sockets))
-	return code
+	return failed
 }
 
-func profDiff(args []string) int {
-	fs := flag.NewFlagSet("starnuma prof diff", flag.ContinueOnError)
+func profDiff(fs *flag.FlagSet, args []string) error {
 	aSub := fs.String("a", "", "substring selecting the A group (key/workload/policy)")
 	bSub := fs.String("b", "", "substring selecting the B group (key/workload/policy)")
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	if fs.NArg() != 1 && fs.NArg() != 2 {
-		fmt.Fprint(os.Stderr, profUsage)
-		return exitUsage
+	if err := parse(fs, args, 1, 2); err != nil {
+		return err
 	}
 	da, err := loadProfDoc(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
-		return exitRuntime
+		return err
 	}
 	db := da
 	labelA, labelB := fs.Arg(0), fs.Arg(0)
 	if fs.NArg() == 2 {
 		if db, err = loadProfDoc(fs.Arg(1)); err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
-			return exitRuntime
+			return err
 		}
 		labelB = fs.Arg(1)
 	} else if *aSub == "" && *bSub == "" {
-		fmt.Fprintln(os.Stderr, "starnuma prof diff: one document needs -a and/or -b to form two groups")
-		return exitUsage
+		return &exitError{exitUsage, errors.New("one document needs -a and/or -b to form two groups")}
 	}
 	if *aSub != "" {
 		labelA += ":" + *aSub
@@ -129,42 +84,31 @@ func profDiff(args []string) int {
 	ta, runsA, skipA := da.GroupTotals(*aSub)
 	tb, runsB, skipB := db.GroupTotals(*bSub)
 	if runsA == 0 || runsB == 0 {
-		fmt.Fprintf(os.Stderr, "starnuma prof diff: empty group (a: %d runs, b: %d runs)\n", runsA, runsB)
-		return exitRuntime
+		return fmt.Errorf("empty group (a: %d runs, b: %d runs)", runsA, runsB)
 	}
 	if skipA+skipB > 0 {
 		fmt.Fprintf(os.Stderr, "starnuma prof diff: skipped %d runs with mismatched categories\n", skipA+skipB)
 	}
 	fmt.Print(attrib.RenderDiff(labelA, labelB, ta, tb))
-	return exitOK
+	return nil
 }
 
-func profFlame(args []string) int {
-	fs := flag.NewFlagSet("starnuma prof flame", flag.ContinueOnError)
+func profFlame(fs *flag.FlagSet, args []string) error {
 	speedscope := fs.String("speedscope", "", "write a speedscope sampled profile to this file")
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprint(os.Stderr, profUsage)
-		return exitUsage
+	if err := parse(fs, args, 1, 1); err != nil {
+		return err
 	}
 	d, err := loadProfDoc(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
-		return exitRuntime
+		return err
 	}
-	if *speedscope != "" {
-		b, err := attrib.RenderSpeedscope(d)
-		if err == nil {
-			err = os.WriteFile(*speedscope, b, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma prof: %v\n", err)
-			return exitRuntime
-		}
-		return exitOK
+	if *speedscope == "" {
+		fmt.Print(attrib.RenderFolded(d))
+		return nil
 	}
-	fmt.Print(attrib.RenderFolded(d))
-	return exitOK
+	b, err := attrib.RenderSpeedscope(d)
+	if err != nil {
+		return err
+	}
+	return writeOut(*speedscope, b)
 }

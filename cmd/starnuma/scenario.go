@@ -13,56 +13,19 @@ import (
 	"starnuma/internal/scenario"
 )
 
-// Exit codes of the scenario subcommands. Parse/validation problems and
-// assertion failures are distinct so CI can tell a broken scenario file
-// from a regression.
-const (
-	exitOK        = 0
-	exitRuntime   = 1 // simulation/IO error
-	exitUsage     = 2 // bad usage, unreadable/invalid scenario
-	exitAssertion = 3 // scenario ran, one or more assertions failed
-)
-
-const scenarioUsage = `usage: starnuma scenario <command> [flags] <file-or-dir>...
-
-Commands:
-  run       compile and run scenarios, check their assertions
-  validate  parse and compile scenarios without running them
-  list      list scenario names and descriptions
-
-Run flags:
-  -jobs N         parallel worker slots (0 = GOMAXPROCS)
-  -cache DIR      result cache directory (default ` + runner.DefaultCacheDir + `)
-  -nocache        disable the persistent result cache
-  -progress       report job progress on stderr
-  -verdict-dir D  write one <name>.verdict.json manifest per scenario to D
-  -v              print every check, not just failures
-
-Arguments name scenario JSON files, or directories whose *.json files
-are taken in sorted order.`
-
-// scenarioMain dispatches `starnuma scenario <cmd>`; it returns the
-// process exit code.
-func scenarioMain(args []string) int {
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, scenarioUsage)
-		return exitUsage
-	}
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "run":
-		return scenarioRun(rest)
-	case "validate":
-		return scenarioValidate(rest)
-	case "list":
-		return scenarioList(rest)
-	case "-h", "-help", "--help", "help":
-		fmt.Println(scenarioUsage)
-		return exitOK
-	default:
-		fmt.Fprintf(os.Stderr, "starnuma scenario: unknown command %q\n%s\n", cmd, scenarioUsage)
-		return exitUsage
-	}
+var scenarioGroup = group{
+	name:    "scenario",
+	summary: "run, validate and list declarative scenarios (internal/scenario)",
+	notes: `Arguments name scenario JSON files, or directories whose *.json files
+are taken in sorted order. Exit 2 means a broken scenario file, exit 3
+a failed assertion.
+`,
+	cmds: []command{
+		{"run", "[-jobs N] [-cache DIR] [-nocache] [-progress] [-verdict-dir D] [-v] <file-or-dir>...",
+			"compile and run scenarios, check their assertions", scenarioRun},
+		{"validate", "<file-or-dir>...", "parse and compile scenarios without running them", scenarioValidate},
+		{"list", "<file-or-dir>...", "list scenario names and descriptions", scenarioList},
+	},
 }
 
 // scenarioFiles expands the file-or-directory arguments into a flat
@@ -111,48 +74,40 @@ func loadScenario(file string) (*scenario.Compiled, error) {
 	return c, nil
 }
 
-func scenarioValidate(args []string) int {
+// eachScenario calls fn on every scenario the arguments name that
+// compiles; the others are reported and fail the command with exit 2.
+func eachScenario(args []string, fn func(file string, c *scenario.Compiled)) error {
 	files, err := scenarioFiles(args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma scenario validate: %v\n", err)
-		return exitUsage
+		return &exitError{exitUsage, err}
 	}
-	code := exitOK
+	var failed error
 	for _, file := range files {
 		c, err := loadScenario(file)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "invalid  %v\n", err)
-			code = exitUsage
+			failed = &exitError{exitUsage, nil}
 			continue
 		}
+		fn(file, c)
+	}
+	return failed
+}
+
+func scenarioValidate(_ *flag.FlagSet, args []string) error {
+	return eachScenario(args, func(file string, c *scenario.Compiled) {
 		fmt.Printf("ok       %s (%s, %d workloads, %d events, %d assertions)\n",
 			file, c.Name(), len(c.Specs), len(c.Scenario.Events), len(c.Scenario.Assertions))
-	}
-	return code
+	})
 }
 
-func scenarioList(args []string) int {
-	files, err := scenarioFiles(args)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma scenario list: %v\n", err)
-		return exitUsage
-	}
-	code := exitOK
-	for _, file := range files {
-		c, err := loadScenario(file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma scenario list: %v\n", err)
-			code = exitUsage
-			continue
-		}
+func scenarioList(_ *flag.FlagSet, args []string) error {
+	return eachScenario(args, func(_ string, c *scenario.Compiled) {
 		fmt.Printf("%-28s %s\n", c.Name(), c.Scenario.Description)
-	}
-	return code
+	})
 }
 
-func scenarioRun(args []string) int {
-	fs := flag.NewFlagSet("starnuma scenario run", flag.ContinueOnError)
-	fs.Usage = func() { fmt.Fprintln(os.Stderr, scenarioUsage) }
+func scenarioRun(fs *flag.FlagSet, args []string) error {
 	var (
 		jobs       = fs.Int("jobs", 0, "parallel worker slots (0 = GOMAXPROCS)")
 		cacheDir   = fs.String("cache", runner.DefaultCacheDir, "result cache directory")
@@ -161,30 +116,25 @@ func scenarioRun(args []string) int {
 		verdictDir = fs.String("verdict-dir", "", "write one <name>.verdict.json manifest per scenario to this directory")
 		verbose    = fs.Bool("v", false, "print every check, not just failures")
 	)
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
+	if err := parse(fs, args, 0, -1); err != nil {
+		return err
 	}
 	files, err := scenarioFiles(fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "starnuma scenario run: %v\n", err)
-		return exitUsage
+		return &exitError{exitUsage, err}
 	}
 
 	// Compile everything up front: a broken file fails the whole
 	// invocation before any simulation starts.
 	compiled := make([]*scenario.Compiled, len(files))
 	for i, file := range files {
-		c, err := loadScenario(file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma scenario run: %v\n", err)
-			return exitUsage
+		if compiled[i], err = loadScenario(file); err != nil {
+			return &exitError{exitUsage, err}
 		}
-		compiled[i] = c
 	}
 	if *verdictDir != "" {
 		if err := os.MkdirAll(*verdictDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma scenario run: %v\n", err)
-			return exitRuntime
+			return err
 		}
 	}
 
@@ -197,33 +147,30 @@ func scenarioRun(args []string) int {
 	}
 	r := exp.NewRunner(opts)
 
-	code := exitOK
+	var failed error
 	for i, c := range compiled {
 		v, err := r.RunScenario(c)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma scenario run: %s: %v\n", files[i], err)
-			return exitRuntime
+			return fmt.Errorf("%s: %w", files[i], err)
 		}
 		fmt.Println(v.Summary())
 		if err := printChecks(os.Stdout, files[i], v, *verbose); err != nil {
-			fmt.Fprintf(os.Stderr, "starnuma scenario run: %v\n", err)
-			return exitRuntime
+			return err
 		}
 		if *verdictDir != "" {
 			b, err := v.Encode()
 			if err == nil {
-				err = os.WriteFile(filepath.Join(*verdictDir, c.Name()+".verdict.json"), b, 0o644)
+				err = writeOut(filepath.Join(*verdictDir, c.Name()+".verdict.json"), b)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "starnuma scenario run: %v\n", err)
-				return exitRuntime
+				return err
 			}
 		}
 		if !v.Pass {
-			code = exitAssertion
+			failed = &exitError{exitAssertion, nil}
 		}
 	}
-	return code
+	return failed
 }
 
 // printChecks writes the per-check lines: failures always (anchored to

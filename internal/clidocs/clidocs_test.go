@@ -2,7 +2,8 @@
 // `go run ./cmd/<tool> ...` invocation in the repo's markdown is
 // extracted and its flags and subcommands are checked against the
 // tool's actual usage output, so a renamed flag or removed subcommand
-// fails the build instead of silently rotting the docs.
+// fails the build instead of silently rotting the docs. Any other
+// mention of a cmd/<tool> must name a tool that exists.
 package clidocs
 
 import (
@@ -20,7 +21,10 @@ import (
 // contract. docs/*.md is globbed so new documents join automatically.
 var docSources = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"}
 
-var cmdLine = regexp.MustCompile("go run \\./cmd/([a-z]+)([^`\\n]*)")
+var (
+	cmdLine     = regexp.MustCompile("go run \\./cmd/([a-z]+)([^`\\n]*)")
+	toolMention = regexp.MustCompile(`\bcmd/([a-z]+)`)
+)
 
 // stopTokens end argument scanning: everything after shell syntax
 // (redirection, background, comments) is not part of the tool's argv.
@@ -69,7 +73,9 @@ func parseInvocation(where, tool, rest string) invocation {
 	return inv
 }
 
-func collectInvocations(t *testing.T, root string) []invocation {
+// docLines calls fn with every line of the doc sources and its
+// file:line position.
+func docLines(t *testing.T, root string, fn func(where, line string)) {
 	t.Helper()
 	files := append([]string(nil), docSources...)
 	globbed, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
@@ -80,7 +86,6 @@ func collectInvocations(t *testing.T, root string) []invocation {
 		rel, _ := filepath.Rel(root, g)
 		files = append(files, rel)
 	}
-	var invs []invocation
 	for _, rel := range files {
 		data, err := os.ReadFile(filepath.Join(root, rel))
 		if err != nil {
@@ -88,12 +93,19 @@ func collectInvocations(t *testing.T, root string) []invocation {
 			continue
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range cmdLine.FindAllStringSubmatch(line, -1) {
-				where := rel + ":" + itoa(i+1)
-				invs = append(invs, parseInvocation(where, m[1], m[2]))
-			}
+			fn(rel+":"+itoa(i+1), line)
 		}
 	}
+}
+
+func collectInvocations(t *testing.T, root string) []invocation {
+	t.Helper()
+	var invs []invocation
+	docLines(t, root, func(where, line string) {
+		for _, m := range cmdLine.FindAllStringSubmatch(line, -1) {
+			invs = append(invs, parseInvocation(where, m[1], m[2]))
+		}
+	})
 	return invs
 }
 
@@ -176,6 +188,27 @@ func (h *usageHarvester) corpus(t *testing.T, tool string, subcmds []string) str
 		text += "\n" + sub
 	}
 	return text
+}
+
+// TestMentionedToolsExist fails when the docs name a cmd/<tool>, in a
+// command line or in prose, that is not in the tree.
+func TestMentionedToolsExist(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mentions := 0
+	docLines(t, root, func(where, line string) {
+		for _, m := range toolMention.FindAllStringSubmatch(line, -1) {
+			mentions++
+			if _, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil {
+				t.Errorf("%s: names cmd/%s, which does not exist", where, m[1])
+			}
+		}
+	})
+	if mentions < 10 {
+		t.Fatalf("found only %d cmd/<tool> mentions; the extractor regressed", mentions)
+	}
 }
 
 // TestDocumentedCommandsParse fails when a command line documented in

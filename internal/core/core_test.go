@@ -716,27 +716,3 @@ func TestBankedDRAMPipeline(t *testing.T) {
 		t.Fatalf("banked pipeline produced nonsense: %+v", r)
 	}
 }
-
-func TestRunSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	cfg := tinySim()
-	results, err := RunSuite(StarNUMASystem(), cfg, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("suite results = %d", len(results))
-	}
-	names := map[string]bool{}
-	for _, r := range results {
-		if r.IPC <= 0 {
-			t.Errorf("%s: IPC = %v", r.Workload, r.IPC)
-		}
-		names[r.Workload] = true
-	}
-	if len(names) != 8 {
-		t.Fatalf("duplicate workloads in suite: %v", names)
-	}
-}

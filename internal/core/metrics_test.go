@@ -70,7 +70,7 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 
 // TestMetricsDeterministic pins byte-identical metric dumps (and JSON
 // encodings) across two identical runs — the determinism contract
-// cmd/runstat's diff relies on.
+// `starnuma metrics diff` relies on.
 func TestMetricsDeterministic(t *testing.T) {
 	sys, cfg, spec := metricsTestConfig(true)
 	r1, err := Run(sys, cfg, spec)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"starnuma/internal/attrib"
 	"starnuma/internal/coherence"
 	"starnuma/internal/evtrace"
@@ -133,19 +131,6 @@ func RunSource(sys SystemConfig, cfg SimConfig, gen AccessSource) (*Result, erro
 		windows[i] = p.RunWindow(i, gen)
 	}
 	return p.Assemble(windows), nil
-}
-
-// RunSuite runs every workload of the suite on one system configuration.
-func RunSuite(sys SystemConfig, cfg SimConfig, scale float64) ([]*Result, error) {
-	var out []*Result
-	for _, spec := range workload.Suite(scale) {
-		r, err := Run(sys, cfg, spec)
-		if err != nil {
-			return nil, fmt.Errorf("workload %s: %w", spec.Name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Speedup returns the IPC ratio of r over base.

@@ -30,7 +30,7 @@ type TraceEvent struct {
 }
 
 // Trace is an assembled, serializable event timeline — the document
-// cmd/tracetool reads and Perfetto/chrome://tracing load.
+// `starnuma trace` reads and Perfetto/chrome://tracing load.
 type Trace struct {
 	Events []TraceEvent
 }
@@ -363,8 +363,8 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// CatStat summarises one category's events — the unit cmd/tracetool
-// reports and CI's -require check gates on.
+// CatStat summarises one category's events — the unit `starnuma trace
+// summarize` reports and CI's -require check gates on.
 type CatStat struct {
 	Cat      string
 	Events   int      // spans + instants

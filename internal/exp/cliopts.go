@@ -70,9 +70,13 @@ func AddCLIFlags(fs *flag.FlagSet, progressDefault bool) *CLIFlags {
 
 // Options materialises parsed flags into experiment options. progressW
 // receives the progress reporter's output when -progress is set
-// (typically os.Stderr). It fails when -faults names an unreadable or
-// invalid plan file.
+// (typically os.Stderr). It fails on a negative -scale or -phases (0
+// keeps the preset) and when -faults names an unreadable or invalid
+// plan file.
 func (f *CLIFlags) Options(progressW io.Writer) (Options, error) {
+	if f.Scale < 0 || f.Phases < 0 {
+		return Options{}, fmt.Errorf("exp: negative -scale %g or -phases %d (0 keeps the preset)", f.Scale, f.Phases)
+	}
 	opts := Default()
 	if f.Quick {
 		opts = Quick()

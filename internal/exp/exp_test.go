@@ -105,7 +105,7 @@ func TestFig2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != len(sharingBuckets) {
+	if len(tbl.Rows) != len(workload.SharingBuckets) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	// Measured page fractions must sum to ~100%.
@@ -470,5 +470,32 @@ func TestCLIFlagsOptions(t *testing.T) {
 	}
 	if o2.CacheDir == "" {
 		t.Error("default cache dir missing")
+	}
+}
+
+// TestCLIFlagsRejectNegative checks that a negative -scale or -phases
+// is an error rather than silently running the preset, while 0 still
+// keeps the preset.
+func TestCLIFlagsRejectNegative(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-quick", "-scale", "-0.5"}, false},
+		{[]string{"-quick", "-phases", "-3"}, false},
+		{[]string{"-quick", "-scale", "0", "-phases", "0"}, true},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := AddCLIFlags(fs, false)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		o, err := f.Options(nil)
+		if (err == nil) != c.ok {
+			t.Errorf("%v: err = %v, want ok=%v", c.args, err, c.ok)
+		}
+		if c.ok && (o.Scale != Quick().Scale || o.Sim.Phases != Quick().Sim.Phases) {
+			t.Errorf("%v: 0 did not keep the preset: scale %v phases %d", c.args, o.Scale, o.Sim.Phases)
+		}
 	}
 }

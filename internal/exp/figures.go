@@ -11,18 +11,25 @@ import (
 	"starnuma/internal/workload"
 )
 
-// sharingBuckets are the sharer-count groupings used to report Fig. 2
-// and Fig. 13.
-var sharingBuckets = [][2]int{{1, 1}, {2, 4}, {5, 8}, {9, 15}, {16, 16}}
-
-// sharingFigure builds a Fig. 2/13-style characterisation: page and
-// access distributions by sharing degree, both analytic (from the spec)
-// and empirically sampled from the generator.
-func (r *Runner) sharingFigure(id, title, wl, notes string) (*Table, error) {
+// sharingFigure builds the Fig. 2/13 characterisation of workload wl
+// at the runner's footprint scale.
+func (r *Runner) sharingFigure(id, wl, notes string) (*Table, error) {
 	spec, err := workload.ByName(wl, r.opts.Scale)
 	if err != nil {
 		return nil, err
 	}
+	t, err := SharingTable(spec)
+	if err != nil {
+		return nil, err
+	}
+	t.ID, t.Notes = id, notes
+	return t, nil
+}
+
+// SharingTable characterises any workload the way Fig. 2/13 do: page
+// and access distributions by sharing degree, both analytic (from the
+// spec) and empirically sampled from the generator.
+func SharingTable(spec workload.Spec) (*Table, error) {
 	gen, err := workload.NewGenerator(spec, 16, 4)
 	if err != nil {
 		return nil, err
@@ -43,10 +50,9 @@ func (r *Runner) sharingFigure(id, title, wl, notes string) (*Table, error) {
 	}
 
 	t := &Table{
-		ID:      id,
-		Title:   title,
+		ID:      "sharing",
+		Title:   spec.Name + " page sharing and access distributions",
 		Columns: []string{"sharers", "pages(model)", "pages(measured)", "accesses(model)", "accesses(measured)"},
-		Notes:   notes,
 	}
 	sum := func(h []float64, lo, hi int) float64 {
 		var s float64
@@ -55,7 +61,7 @@ func (r *Runner) sharingFigure(id, title, wl, notes string) (*Table, error) {
 		}
 		return s
 	}
-	for _, b := range sharingBuckets {
+	for _, b := range workload.SharingBuckets {
 		label := fmt.Sprintf("%d", b[0])
 		if b[1] != b[0] {
 			label = fmt.Sprintf("%d-%d", b[0], b[1])
@@ -71,13 +77,13 @@ func (r *Runner) sharingFigure(id, title, wl, notes string) (*Table, error) {
 
 // Fig2 reproduces the BFS access-pattern characterisation (Fig. 2).
 func (r *Runner) Fig2() (*Table, error) {
-	return r.sharingFigure("fig2", "BFS page sharing and access distributions", "BFS",
+	return r.sharingFigure("fig2", "BFS",
 		"17% single-sharer pages, 78% ≤4 sharers; >8-sharer pages take 68% of accesses, 16-shared pages 36%")
 }
 
 // Fig13 reproduces the TC characterisation (Fig. 13).
 func (r *Runner) Fig13() (*Table, error) {
-	return r.sharingFigure("fig13", "TC page sharing and access distributions", "TC",
+	return r.sharingFigure("fig13", "TC",
 		"60% of pages touched by all 16 sockets, 80% by 8+; accesses spread nearly in proportion (read-only)")
 }
 

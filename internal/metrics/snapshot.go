@@ -194,8 +194,8 @@ func Decode(b []byte) (*Snapshot, error) {
 }
 
 // Dump renders the snapshot as deterministic plain text, one metric per
-// line, sorted by name within each section — the format cmd/runstat
-// prints and the determinism tests pin byte for byte.
+// line, sorted by name within each section — the format `starnuma
+// metrics dump` prints and the determinism tests pin byte for byte.
 func (s *Snapshot) Dump() string {
 	if s.Empty() {
 		return ""

@@ -4,8 +4,8 @@
 //
 // Work is decomposed at two levels:
 //
-//   - suite level: one job per workload×config pair (Run / RunAll /
-//     RunSuite), and
+//   - suite level: one job per workload×config pair (Run / RunAll),
+//     and
 //   - step-C level: one job per checkpoint timing window, since the
 //     windows of one run are independent once step B's checkpoints
 //     exist (core.Plan).
@@ -253,14 +253,4 @@ func (r *Runner) RunAll(jobs []Job) ([]*core.Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// RunSuite runs every workload of the suite on one system configuration
-// — the parallel counterpart of core.RunSuite.
-func (r *Runner) RunSuite(sys core.SystemConfig, cfg core.SimConfig, scale float64) ([]*core.Result, error) {
-	var jobs []Job
-	for _, spec := range workload.Suite(scale) {
-		jobs = append(jobs, Job{Label: "suite/" + spec.Name, Sys: sys, Cfg: cfg, Spec: spec})
-	}
-	return r.RunAll(jobs)
 }

@@ -9,8 +9,8 @@ import (
 
 // Source replays step-A trace files through the evaluation pipeline: it
 // implements core.AccessSource, so externally captured traces (or
-// traces dumped by cmd/tracegen) can drive steps B and C exactly like
-// the synthetic generators.
+// traces dumped by `starnuma workload dump`) can drive steps B and C
+// exactly like the synthetic generators.
 //
 // One file per phase, in phase order. If the pipeline asks for more
 // phases than files exist, phases wrap around; if a core's stream is

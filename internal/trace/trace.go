@@ -4,8 +4,8 @@
 // The paper records per-thread instruction and memory traces with a
 // Pin-based tracer and replays them in steps B and C. Our generators are
 // deterministic, so traces normally need not be materialised — but the
-// format lets users persist a stream (cmd/tracegen), inspect it, or feed
-// externally produced traces through the same pipeline.
+// format lets users persist a stream (`starnuma workload dump`), inspect
+// it, or feed externally produced traces through the same pipeline.
 //
 // Layout: a fixed header followed by fixed-size little-endian records.
 //
@@ -184,6 +184,9 @@ func (r *Reader) Read() (Record, error) {
 func DumpPhase(gen *workload.Generator, phase int, instrBudget uint64, w io.Writer) (uint64, error) {
 	if instrBudget == 0 {
 		return 0, errors.New("trace: zero instruction budget")
+	}
+	if phase < 0 {
+		return 0, fmt.Errorf("trace: negative phase %d", phase)
 	}
 	tw, err := NewWriter(w, Header{
 		Workload: gen.Spec().Name,

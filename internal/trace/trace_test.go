@@ -168,6 +168,24 @@ func TestDumpPhaseRoundTrip(t *testing.T) {
 	}
 }
 
+func TestDumpPhaseRejectsNegativePhase(t *testing.T) {
+	spec, err := workload.ByName("BFS", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(spec, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := DumpPhase(gen, -1, 5000, &buf); err == nil {
+		t.Fatal("dumped a negative phase")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected dump wrote %d bytes", buf.Len())
+	}
+}
+
 // Property: any record survives a round trip.
 func TestRecordRoundTripProperty(t *testing.T) {
 	f := func(core uint16, gap, page uint32, block uint16, write bool) bool {

@@ -179,8 +179,7 @@ func TestEmpiricalSharingMatchesAnalytic(t *testing.T) {
 		a := g.Next(i % 64)
 		got[len(g.Sharers(a.Page))] += 1.0 / n
 	}
-	buckets := [][2]int{{1, 1}, {2, 4}, {5, 8}, {9, 15}, {16, 16}}
-	for _, b := range buckets {
+	for _, b := range SharingBuckets {
 		var w, e float64
 		for k := b[0]; k <= b[1]; k++ {
 			w += wantAcc[k]

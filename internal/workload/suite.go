@@ -146,6 +146,9 @@ func Suite(scale float64) []Spec {
 
 // ByName returns the named workload at the given footprint scale.
 func ByName(name string, scale float64) (Spec, error) {
+	if scale <= 0 {
+		return Spec{}, fmt.Errorf("workload: non-positive scale %v", scale)
+	}
 	for _, s := range Suite(scale) {
 		if s.Name == name {
 			return s, nil

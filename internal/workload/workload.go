@@ -157,6 +157,10 @@ func (s Spec) ZeroLoadIPC(localMissCycles float64) float64 {
 // MeanGap is the mean instruction distance between LLC misses.
 func (s Spec) MeanGap() float64 { return 1000 / s.MPKI }
 
+// SharingBuckets are the sharer-count groupings (inclusive ranges) the
+// paper's Fig. 2 and Fig. 13 report sharing distributions in.
+var SharingBuckets = [][2]int{{1, 1}, {2, 4}, {5, 8}, {9, 15}, {16, 16}}
+
 // SharingHistogram computes the expected distributions reported in the
 // paper's Fig. 2 and Fig. 13: for each sharer count k (1..sockets),
 // the fraction of footprint pages with exactly k sharers and the

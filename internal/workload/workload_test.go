@@ -38,6 +38,11 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope", 1); err == nil {
 		t.Fatal("unknown workload did not error")
 	}
+	for _, scale := range []float64{0, -1} {
+		if _, err := ByName("BFS", scale); err == nil {
+			t.Errorf("ByName(BFS, %v) did not error", scale)
+		}
+	}
 }
 
 func TestSuiteScaling(t *testing.T) {
