@@ -30,15 +30,18 @@ import (
 // Windows counts the step-C window jobs the experiment completed,
 // whether simulated or recalled from the window memo (WindowMemoHits
 // of them were recalled), and WindowsPerSec is the throughput those
-// windows achieved. Experiments whose runs all came from the in-suite
-// memo or the result cache run no windows; their Windows is 0 and
-// WindowsPerSec is omitted rather than written as a misleading 0.
+// windows achieved. IngestMemoHits counts the step-B phase ingests
+// restored from the ingest memo instead of walked. Experiments whose
+// runs all came from the in-suite memo or the result cache run no
+// windows; their Windows is 0 and WindowsPerSec is omitted rather than
+// written as a misleading 0.
 type benchExperiment struct {
 	ID             string  `json:"id"`
 	Seconds        float64 `json:"seconds"`
 	Windows        int64   `json:"windows"`
 	WindowsPerSec  float64 `json:"windows_per_sec,omitempty"`
 	WindowMemoHits int64   `json:"window_memo_hits"`
+	IngestMemoHits int64   `json:"ingest_memo_hits"`
 }
 
 // benchReport is the -benchjson document. WindowsPerSec is the suite's
@@ -57,6 +60,7 @@ type benchReport struct {
 	WindowsDone    int64             `json:"windows_done"`
 	WindowsPerSec  float64           `json:"windows_per_sec"`
 	WindowMemoHits int64             `json:"window_memo_hits"`
+	IngestMemoHits int64             `json:"ingest_memo_hits"`
 	Experiments    []benchExperiment `json:"experiments"`
 }
 
@@ -105,6 +109,7 @@ func main() {
 		t0 := time.Now()
 		prevWindows := r.Exec().Metrics().WindowsDone
 		prevHits := core.WindowMemo().Hits
+		prevIngestHits := core.IngestMemo().Hits
 		table, err := r.ByID(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expall: %s: %v\n", id, err)
@@ -117,7 +122,8 @@ func main() {
 			wps = float64(windows) / secs
 		}
 		timings = append(timings, benchExperiment{ID: id, Seconds: secs, Windows: windows,
-			WindowsPerSec: wps, WindowMemoHits: core.WindowMemo().Hits - prevHits})
+			WindowsPerSec: wps, WindowMemoHits: core.WindowMemo().Hits - prevHits,
+			IngestMemoHits: core.IngestMemo().Hits - prevIngestHits})
 		rendered, err := table.Format(*format)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expall: %v\n", err)
@@ -145,6 +151,7 @@ func main() {
 			CacheMisses:    m.CacheMisses,
 			WindowsDone:    m.WindowsDone,
 			WindowMemoHits: core.WindowMemo().Hits,
+			IngestMemoHits: core.IngestMemo().Hits,
 			Experiments:    timings,
 		}
 		if report.SuiteSeconds > 0 {

@@ -52,18 +52,23 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 		}
 		return g
 	}
+	sampled := DefaultSoftwareTracking()
+	sampled.Enable = true
 	for _, tc := range []struct {
-		name   string
-		policy PolicySpec
+		name     string
+		policy   PolicySpec
+		sampling SoftwareTrackingConfig
 	}{
 		{name: "starnuma", policy: PolicyStarNUMA},
 		{name: "oracle", policy: PolicyOracle},
 		{name: "none", policy: PolicyNone},
+		{name: "sampled", policy: PolicyStarNUMA, sampling: sampled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinySim()
 			cfg.Phases = 3
 			cfg.Policy = tc.policy
+			cfg.SoftwareTracking = tc.sampling
 
 			want, err := TraceSimulate(sys, cfg, plainSource{newGen()})
 			if err != nil {
@@ -84,10 +89,13 @@ func TestIngestMemoizationIsExact(t *testing.T) {
 	}
 }
 
-// TestIngestMemoKeyedByTrackerShape pins that runs differing only in
-// tracker shape do not share memo entries: a T0 run after a T16 run of
-// the same workload must still match its own scalar reference.
-func TestIngestMemoKeyedByTrackerShape(t *testing.T) {
+// TestIngestMemoSharedAcrossTrackerShapes pins the memo's contract:
+// the tracker is derived from each phase's counts, not memoized, so
+// runs differing only in tracker design, region size or software
+// sampling share one entry per stream phase. Every run must still match
+// its own scalar reference, and the whole sequence must walk each phase
+// once: the first run misses every phase and every later run hits.
+func TestIngestMemoSharedAcrossTrackerShapes(t *testing.T) {
 	sys := StarNUMASystem()
 	topo := topology.New(sys.Topology)
 	newGen := func() *workload.Generator {
@@ -97,11 +105,20 @@ func TestIngestMemoKeyedByTrackerShape(t *testing.T) {
 		}
 		return g
 	}
-	for _, cfg := range []SimConfig{
-		tinySim(),
+	sampling := func(frac float64) SoftwareTrackingConfig {
+		return SoftwareTrackingConfig{Enable: true, SampleFrac: frac, FaultPenaltyCycles: 3000}
+	}
+	cfgs := []SimConfig{
+		func() SimConfig { c := tinySim(); c.RegionPages = 32; return c }(),
 		func() SimConfig { c := tinySim(); c.Tracker = tracker.T0; return c }(),
-		func() SimConfig { c := tinySim(); c.RegionPages *= 2; return c }(),
-	} {
+		func() SimConfig { c := tinySim(); c.RegionPages = 64; return c }(),
+		func() SimConfig { c := tinySim(); c.RegionPages = 128; return c }(),
+		func() SimConfig { c := tinySim(); c.SoftwareTracking = sampling(0.05); return c }(),
+		func() SimConfig { c := tinySim(); c.SoftwareTracking = sampling(1); return c }(),
+	}
+	ingestCache.Reset() // earlier tests may have walked this stream
+	before := IngestMemo()
+	for _, cfg := range cfgs {
 		want, err := TraceSimulate(sys, cfg, plainSource{newGen()})
 		if err != nil {
 			t.Fatal(err)
@@ -111,8 +128,16 @@ func TestIngestMemoKeyedByTrackerShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(traceOutputs(got), traceOutputs(want)) {
-			t.Fatalf("tracker shape %v/%d: memoized result diverges from scalar reference",
-				cfg.Tracker, cfg.RegionPages)
+			t.Fatalf("tracker %v/r%d, sampling %+v: memoized result diverges from scalar reference",
+				cfg.Tracker, cfg.RegionPages, cfg.SoftwareTracking)
 		}
+	}
+	after := IngestMemo()
+	phases := int64(tinySim().Phases)
+	if misses := after.Misses - before.Misses; misses != phases {
+		t.Errorf("ingest memo misses = %d, want one per stream phase (%d)", misses, phases)
+	}
+	if hits := after.Hits - before.Hits; hits != int64(len(cfgs)-1)*phases {
+		t.Errorf("ingest memo hits = %d, want %d", hits, int64(len(cfgs)-1)*phases)
 	}
 }

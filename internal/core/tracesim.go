@@ -54,31 +54,26 @@ type TraceResult struct {
 	Trace *evtrace.Buffer
 }
 
-// ingestPhase replays one phase into the first-touch map, the tracker
-// (or its software-sampling front), and the per-page counts, reading the
-// source's recorded arrays with cores interleaved round-robin at miss
-// granularity — the order first-touch assignment depends on, which
-// approximates global instruction-count ordering well enough for
-// first-touch purposes. Hardware-tracker ingests of streams with a
-// signature are memoized across variants (see ingestmemo.go): a repeat
-// of the same (stream, phase, tracker shape) restores the recorded
-// products by array copy instead of re-walking the stream.
+// ingestPhase replays one phase into the first-touch map and the
+// per-page counts, reading the source's recorded arrays with cores
+// interleaved round-robin at miss granularity — the order first-touch
+// assignment depends on, which approximates global instruction-count
+// ordering well enough for first-touch purposes. Ingests of streams
+// with a signature are memoized across variants (see ingestmemo.go): a
+// repeat of the same (stream, phase) restores the recorded products by
+// array copy instead of re-walking the stream.
 func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
-	home []topology.NodeID, sampler *tracker.Sampler, tbl *tracker.Table,
-	counts *migrate.PageCounts) {
+	home []topology.NodeID, counts *migrate.PageCounts) {
 	s := gen.PhaseStream(phase, phaseInstr)
-	memoable := sampler == nil && s.Sig != ""
-	var key ingestKey
+	memoable := s.Sig != ""
+	key := ingestKey{sig: s.Sig, phase: phase}
 	if memoable {
-		key = ingestKey{sig: s.Sig, phase: phase, kind: tbl.Kind(),
-			regionPages: tbl.RegionPages()}
 		if e, ok := ingestCache.Get(key); ok {
 			for i, p := range e.firstPages {
 				if home[p] == Unassigned {
 					home[p] = e.firstHomes[i]
 				}
 			}
-			tbl.LoadState(e.tbl)
 			counts.LoadState(e.pc)
 			return
 		}
@@ -118,11 +113,6 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 					firstHomes = append(firstHomes, topology.NodeID(sock))
 				}
 			}
-			if sampler != nil {
-				sampler.Record(sock, p)
-			} else {
-				tbl.Record(sock, p)
-			}
 			counts.Record(sock, p)
 			if writes[i] {
 				counts.RecordWrite(p)
@@ -130,7 +120,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 		}
 	}
 	if memoable {
-		ingestCache.Put(key, &ingestEntry{tbl: tbl.SaveState(), pc: counts.SaveState(),
+		ingestCache.Put(key, &ingestEntry{pc: counts.SaveState(),
 			firstPages: firstPages, firstHomes: firstHomes})
 	}
 }
@@ -154,9 +144,12 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	}
 
 	tbl := tracker.NewTable(cfg.Tracker, pages, cfg.RegionPages)
+	// Software sampling fills the table with the sampled regions only.
 	var sampler *tracker.Sampler
+	var sampled func(region int) bool
 	if cfg.SoftwareTracking.Enable {
 		sampler = tracker.NewSampler(tbl, cfg.SoftwareTracking.SampleFrac, gen.Spec().Seed)
+		sampled = sampler.Sampled
 	}
 	counts := migrate.NewPageCounts(pages, sockets)
 	totals := migrate.NewPageCounts(pages, sockets)
@@ -231,7 +224,8 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		} else {
 			tbl.Reset()
 		}
-		ingestPhase(gen, phase, cfg.PhaseInstr, home, sampler, tbl, counts)
+		ingestPhase(gen, phase, cfg.PhaseInstr, home, counts)
+		counts.FoldInto(tbl, sampled)
 		counts.AddInto(totals)
 		lastFB = migrate.ComputeFeedback(phase, counts, home, topo.HasPool(), topo.PoolNode())
 		if reg != nil {

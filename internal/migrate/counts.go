@@ -1,6 +1,10 @@
 package migrate
 
-import "fmt"
+import (
+	"fmt"
+
+	"starnuma/internal/tracker"
+)
 
 // PageCounts is exact per-page, per-socket access knowledge. The paper
 // grants the *baseline* this information at zero cost to strengthen the
@@ -99,6 +103,38 @@ func (c *PageCounts) Reset() {
 	}
 	for i := range c.writes {
 		c.writes[i] = 0
+	}
+}
+
+// FoldInto adds this phase's accesses to t, region by region, leaving
+// it as recording each access with t.Record would: a region's sharer
+// mask is every socket with a non-zero count on one of its pages, and
+// its access count is the sum of those counts. Regions for which keep
+// returns false are skipped (software sampling monitors only a subset);
+// a nil keep folds every region. t must cover exactly this footprint.
+func (c *PageCounts) FoldInto(t *tracker.Table, keep func(region int) bool) {
+	pages, rp := c.Pages(), t.RegionPages()
+	if (pages+rp-1)/rp != t.NumRegions() {
+		panic("migrate: tracker does not cover the PageCounts footprint")
+	}
+	for r := 0; r < t.NumRegions(); r++ {
+		if keep != nil && !keep(r) {
+			continue
+		}
+		end := min((r+1)*rp, pages) * c.sockets
+		var sharers uint32
+		var accesses uint64
+		for i := r * rp * c.sockets; i < end; i += c.sockets {
+			for s, v := range c.counts[i : i+c.sockets] {
+				if v != 0 {
+					sharers |= 1 << uint(s)
+					accesses += uint64(v)
+				}
+			}
+		}
+		if accesses != 0 {
+			t.AddRegion(r, sharers, accesses)
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ package tracker
 //
 // The Sampler wraps a Table; the sample is redrawn deterministically per
 // phase so trace simulation (step B) and timing simulation (step C)
-// observe identical sampling decisions.
+// observe identical sampling decisions. Step B fills the table with the
+// Sampled regions' phase counts only; step C charges the faults through
+// WouldFault and MarkFaulted.
 type Sampler struct {
 	table *Table
 	// frac is the fraction of regions monitored each phase.
@@ -23,7 +25,6 @@ type Sampler struct {
 	sampled []bool
 	// faultedPages tracks pages that already took their per-phase fault.
 	faultedPages map[uint32]bool
-	faults       uint64
 }
 
 // NewSampler wraps table, monitoring frac of its regions per phase.
@@ -37,10 +38,6 @@ func NewSampler(table *Table, frac float64, seed uint64) *Sampler {
 	s.ResetPhase(0)
 	return s
 }
-
-// Table returns the underlying metadata table (which only ever holds
-// sampled regions' data).
-func (s *Sampler) Table() *Table { return s.table }
 
 // splitmix64-style hash for the per-phase sample draw.
 func sampleHash(seed, phase, region uint64) uint64 {
@@ -70,24 +67,6 @@ func (s *Sampler) ResetPhase(phase int) {
 // Sampled reports whether region r is monitored this phase.
 func (s *Sampler) Sampled(r int) bool { return s.sampled[r] }
 
-// Record notes one access. Only accesses to sampled regions reach the
-// metadata table; the first access to each sampled page per phase
-// additionally incurs a minor page fault, which the caller charges to
-// the accessing core.
-func (s *Sampler) Record(socket int, page uint32) (fault bool) {
-	r := s.table.RegionOf(page)
-	if !s.sampled[r] {
-		return false
-	}
-	s.table.Record(socket, page)
-	if !s.faultedPages[page] {
-		s.faultedPages[page] = true
-		s.faults++
-		return true
-	}
-	return false
-}
-
 // WouldFault reports whether an access to page would fault without
 // recording anything (the timing simulation's query; step C must not
 // disturb step B's metadata).
@@ -101,6 +80,3 @@ func (s *Sampler) MarkFaulted(page uint32) {
 		s.faultedPages[page] = true
 	}
 }
-
-// Faults returns the total minor page faults incurred so far.
-func (s *Sampler) Faults() uint64 { return s.faults }

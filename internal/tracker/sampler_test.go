@@ -41,16 +41,25 @@ func TestSamplerInvalidFracPanics(t *testing.T) {
 	}
 }
 
+// Only sampled regions are poisoned, so only their pages fault (and the
+// fault handler is what records an access); consuming the faults leaves
+// the metadata table untouched.
 func TestSamplerRecordsOnlySampledRegions(t *testing.T) {
 	tb := NewTable(T16, 1024, 32)
 	s := NewSampler(tb, 0.5, 7)
 	for page := uint32(0); page < 1024; page++ {
-		s.Record(3, page)
+		sampled := s.Sampled(tb.RegionOf(page))
+		if s.WouldFault(page) != sampled {
+			t.Fatalf("page %d: faults=%v sampled=%v", page, !sampled, sampled)
+		}
+		s.MarkFaulted(page)
+		if s.WouldFault(page) {
+			t.Fatalf("page %d still faults after MarkFaulted", page)
+		}
 	}
 	for r := 0; r < tb.NumRegions(); r++ {
-		hasData := tb.SharerCount(r) > 0
-		if hasData != s.Sampled(r) {
-			t.Fatalf("region %d: data=%v sampled=%v", r, hasData, s.Sampled(r))
+		if tb.SharerCount(r) != 0 {
+			t.Fatalf("region %d: fault bookkeeping wrote metadata", r)
 		}
 	}
 }
@@ -58,18 +67,20 @@ func TestSamplerRecordsOnlySampledRegions(t *testing.T) {
 func TestSamplerFaultsOncePerPagePerPhase(t *testing.T) {
 	tb := NewTable(T16, 1024, 32)
 	s := NewSampler(tb, 1.0, 7)
-	if !s.Record(0, 5) {
-		t.Fatal("first access did not fault")
+	if !s.WouldFault(5) {
+		t.Fatal("first access would not fault")
 	}
-	if s.Record(1, 5) {
-		t.Fatal("second access faulted")
+	s.MarkFaulted(5)
+	if s.WouldFault(5) {
+		t.Fatal("second access would fault")
 	}
-	if s.Faults() != 1 {
-		t.Fatalf("faults = %d", s.Faults())
+	s.MarkFaulted(5) // a consumed fault stays consumed
+	if s.WouldFault(5) {
+		t.Fatal("page faults again within the phase")
 	}
 	s.ResetPhase(1)
-	if !s.Record(0, 5) {
-		t.Fatal("post-reset access did not fault")
+	if !s.WouldFault(5) {
+		t.Fatal("post-reset access would not fault")
 	}
 }
 
