@@ -1,10 +1,13 @@
-// Command starnuma runs one experiment of the StarNUMA reproduction and
-// prints its table, and hosts the subcommand groups that inspect what
-// runs leave behind.
+// Command starnuma runs the experiments of the StarNUMA reproduction —
+// one, or the whole suite in the paper's order — and prints their
+// tables, and hosts the subcommand groups that inspect what runs leave
+// behind.
 //
 // Usage:
 //
 //	starnuma -exp fig8a [-quick] [-scale 0.25] [-phases 6] [-workloads BFS,TC]
+//	starnuma -exp all -quick -o results.txt      # the full suite
+//	starnuma -exp all -quick -nocache -jobs 1 -benchjson BENCH_fresh.json
 //	starnuma -exp fig8a -metrics manifest.json   # collect instrumentation
 //	starnuma -exp fig8a -faults plan.json        # inject fabric faults
 //	starnuma -exp fig8a -trace trace.json        # record an event trace
@@ -22,6 +25,7 @@
 //	starnuma workload list                             # workload models (Table III)
 //	starnuma workload show BFS                         # page classes, Fig. 2/13 sharing table
 //	starnuma workload dump -workload BFS -phase 0 -o bfs.p0.sntr  # step-A miss trace (§IV-A1)
+//	starnuma bench gate BENCH_expall.json BENCH_fresh.json  # windows/sec regression gate
 //
 // Experiment identifiers follow the paper's figure/table numbers; see
 // DESIGN.md §5 for the index.
@@ -34,7 +38,9 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
+	"starnuma/internal/core"
 	"starnuma/internal/exp"
 	"starnuma/internal/prof"
 )
@@ -50,7 +56,7 @@ const (
 )
 
 // groups is the subcommand table: `starnuma <group> <command> ...`.
-var groups = []*group{&scenarioGroup, &policyGroup, &profGroup, &metricsGroup, &traceGroup, &workloadGroup}
+var groups = []*group{&scenarioGroup, &policyGroup, &profGroup, &metricsGroup, &traceGroup, &workloadGroup, &benchGroup}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -80,7 +86,7 @@ func run(args []string) int {
 // usage prints the top-level usage: the experiment flags when fs is
 // given, then every group with its commands.
 func usage(w io.Writer, fs *flag.FlagSet) {
-	fmt.Fprintln(w, "usage: starnuma -exp ID [flags] | starnuma -list | starnuma <group> <command> [args]")
+	fmt.Fprintln(w, "usage: starnuma -exp ID|all [flags] | starnuma -list | starnuma <group> <command> [args]")
 	if fs != nil {
 		fmt.Fprintln(w, "\nExperiment flags:")
 		fs.PrintDefaults()
@@ -208,17 +214,20 @@ func writeOut(path string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// expMain runs one experiment (or lists them) and prints its table.
+// expMain runs one experiment, or the whole suite under -exp all (or
+// lists them), and prints the tables.
 func expMain(args []string) int {
 	fs := flag.NewFlagSet("starnuma", flag.ContinueOnError)
 	fs.Usage = func() { usage(fs.Output(), fs) }
 	var (
-		expID  = fs.String("exp", "", "experiment to run (e.g. fig8a, tab4); see -list")
-		list   = fs.Bool("list", false, "list experiment identifiers and exit")
-		format = fs.String("format", "text", "output format: text, csv, md")
-		chart  = fs.Int("chart", -1, "render the given column index as ASCII bars instead")
+		expID     = fs.String("exp", "", "experiment to run (e.g. fig8a, tab4), or all for the suite in paper order; see -list")
+		list      = fs.Bool("list", false, "list experiment identifiers and exit")
+		format    = fs.String("format", "text", "output format: text, csv, md")
+		chart     = fs.Int("chart", -1, "render the given column index as ASCII bars instead")
+		out       = fs.String("o", "", "also write the output to this file")
+		benchJSON = fs.String("benchjson", "", "write suite and per-experiment timings to this JSON file (see: starnuma bench gate)")
 	)
-	cli := exp.AddCLIFlags(fs, false)
+	cli := exp.AddCLIFlags(fs)
 	pf := prof.AddFlags(fs)
 	err := func() error {
 		if err := parse(fs, args, 0, 0); err != nil {
@@ -242,20 +251,95 @@ func expMain(args []string) int {
 		if err != nil {
 			return err
 		}
+		suite := *expID == "all"
+		ids := []string{*expID}
+		if suite {
+			ids = exp.IDs()
+		}
+		var w io.Writer = os.Stdout
+		if *out != "" {
+			f, err := os.Create(*out)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			w = io.MultiWriter(os.Stdout, f)
+		}
+		render := func(t *exp.Table) (string, error) {
+			if *chart >= 0 {
+				return t.BarChart(*chart, 48)
+			}
+			return t.Format(*format)
+		}
 		r := exp.NewRunner(opts)
-		table, err := r.ByID(*expID)
+		bench, err := runExperiments(w, r, ids, suite, render)
 		if err != nil {
 			return err
 		}
-		out, err := table.Format(*format)
-		if *chart >= 0 {
-			out, err = table.BarChart(*chart, 48)
-		}
-		if err != nil {
+		if err := cli.WriteOutputs(r); err != nil {
 			return err
 		}
-		fmt.Print(out)
-		return cli.WriteOutputs(r)
+		if *benchJSON != "" {
+			bench.Quick = cli.Quick
+			if err := bench.write(*benchJSON); err != nil {
+				return fmt.Errorf("benchjson: %w", err)
+			}
+		}
+		return nil
 	}()
 	return report("starnuma", err)
+}
+
+// runExperiments runs ids on r in order and writes their tables, as
+// render formats them, to w with a blank line between tables; the
+// suite frames them with a header and a footer. It returns the run's
+// timing report.
+func runExperiments(w io.Writer, r *exp.Runner, ids []string, suite bool, render func(*exp.Table) (string, error)) (*benchReport, error) {
+	start := time.Now()
+	opts := r.Options()
+	if suite {
+		fmt.Fprintf(w, "StarNUMA reproduction — full experiment suite\n")
+		fmt.Fprintf(w, "scale=%v phases=%d phaseInstr=%d timedInstr=%d jobs=%d\n\n",
+			opts.Scale, opts.Sim.Phases, opts.Sim.PhaseInstr, opts.Sim.TimedInstr, r.Exec().Jobs())
+	}
+	bench := &benchReport{Timestamp: start.UTC().Format(time.RFC3339), Scale: opts.Scale, Jobs: r.Exec().Jobs()}
+	for i, id := range ids {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		t0 := time.Now()
+		prevWindows := r.Exec().Metrics().WindowsDone
+		prevHits := core.WindowMemo().Hits
+		prevIngestHits := core.IngestMemo().Hits
+		table, err := r.ByID(id)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		e := benchExperiment{ID: id, Seconds: time.Since(t0).Seconds(),
+			Windows:        r.Exec().Metrics().WindowsDone - prevWindows,
+			WindowMemoHits: core.WindowMemo().Hits - prevHits,
+			IngestMemoHits: core.IngestMemo().Hits - prevIngestHits}
+		if e.Seconds > 0 {
+			e.WindowsPerSec = float64(e.Windows) / e.Seconds
+		}
+		bench.Experiments = append(bench.Experiments, e)
+		text, err := render(table)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprint(w, text)
+	}
+	elapsed := time.Since(start)
+	m := r.Exec().Metrics()
+	if suite {
+		fmt.Fprintf(w, "\ncompleted in %v (%d runs, %d windows, cache %d hit / %d miss)\n",
+			elapsed.Round(time.Second), m.RunsDone, m.WindowsDone, m.CacheHits, m.CacheMisses)
+	}
+	bench.SuiteSeconds = elapsed.Seconds()
+	bench.CacheHits, bench.CacheMisses, bench.WindowsDone = m.CacheHits, m.CacheMisses, m.WindowsDone
+	bench.WindowMemoHits, bench.IngestMemoHits = core.WindowMemo().Hits, core.IngestMemo().Hits
+	if bench.SuiteSeconds > 0 {
+		bench.WindowsPerSec = float64(bench.WindowsDone) / bench.SuiteSeconds
+	}
+	return bench, nil
 }

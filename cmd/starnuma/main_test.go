@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"starnuma/internal/exp"
 	"starnuma/internal/trace"
 )
 
@@ -33,10 +34,27 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 func TestDispatchExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	bench := func(name, doc string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := bench("base.json", `{"suite_seconds": 100, "windows_done": 800, "windows_per_sec": 8}`)
+	same := bench("same.json", `{"suite_seconds": 101, "windows_done": 800, "windows_per_sec": 7.9}`)
+	slow := bench("slow.json", `{"suite_seconds": 200, "windows_done": 800, "windows_per_sec": 4}`)
+	zero := bench("zero.json", `{"suite_seconds": 1, "windows_done": 0, "windows_per_sec": 0}`)
 	for _, c := range []struct {
 		args []string
 		code int
 	}{
+		{[]string{"bench", "gate", base, same}, exitOK},
+		{[]string{"bench", "gate", base, slow}, exitAssertion},
+		{[]string{"bench", "gate", base, zero}, exitUsage},
+		{[]string{"bench", "gate", base, filepath.Join(dir, "missing.json")}, exitUsage},
+		{[]string{"bench", "gate", base}, exitUsage},
 		{[]string{"help"}, exitOK},
 		{[]string{"bogus"}, exitUsage},
 		{[]string{"metrics"}, exitUsage},
@@ -148,5 +166,51 @@ func TestOneErrorLinePerFailure(t *testing.T) {
 		if code != exitRuntime || stderr != c.want+"\n" {
 			t.Errorf("%v: exit %d, stderr %q; want exit %d and %q", c.args, code, stderr, exitRuntime, c.want)
 		}
+	}
+}
+
+// TestSuiteFramesTables runs the experiment loop over the two static
+// experiments, which simulate nothing. Suite mode must frame the tables
+// exactly as the committed suite output does: its header, the tables
+// in order one blank line apart, and the footer. A single experiment
+// prints its table alone.
+func TestSuiteFramesTables(t *testing.T) {
+	committed, err := os.ReadFile("../../results_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := func(tab *exp.Table) (string, error) { return tab.Format("text") }
+	opts := exp.Quick()
+	opts.Jobs = 1
+
+	var out strings.Builder
+	bench, err := runExperiments(&out, exp.NewRunner(opts), []string{"fig3", "fig4"}, true, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig3, _ := exp.Fig3().Format("text")
+	fig4, _ := exp.Fig4().Format("text")
+	header, _, _ := strings.Cut(string(committed), "== fig2:")
+	body, footer, _ := strings.Cut(out.String(), "completed in ")
+	if want := header + fig3 + "\n" + fig4 + "\n"; body != want {
+		t.Errorf("suite body:\n%s\nwant:\n%s", body, want)
+	}
+	if !strings.Contains(string(committed), fig3+"\n"+fig4+"\n") {
+		t.Error("fig3 and fig4 are not adjacent, one blank line apart, in results_quick.txt")
+	}
+	if !strings.HasSuffix(footer, " (0 runs, 0 windows, cache 0 hit / 0 miss)\n") {
+		t.Errorf("suite footer %q", footer)
+	}
+	if len(bench.Experiments) != 2 || bench.Experiments[0].ID != "fig3" ||
+		bench.Experiments[1].ID != "fig4" || bench.WindowsDone != 0 {
+		t.Errorf("bench report %+v", bench)
+	}
+
+	out.Reset()
+	if _, err := runExperiments(&out, exp.NewRunner(opts), []string{"fig4"}, false, text); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != fig4 {
+		t.Errorf("single experiment printed %q, want its table alone %q", out.String(), fig4)
 	}
 }

@@ -14,7 +14,7 @@
 //   - the StarNUMA architecture: pool, trackers, Algorithm 1 migration;
 //   - synthetic models of the paper's eight workloads;
 //   - an experiment harness regenerating every table and figure of the
-//     paper's evaluation (internal/exp, cmd/expall), with benchmark
+//     paper's evaluation (internal/exp; cmd/starnuma -exp all), with benchmark
 //     entry points in bench_test.go.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and

@@ -74,7 +74,7 @@ const (
 
 // names indexes the canonical category spellings. They follow the
 // metric-namespace grammar ([a-z0-9_-]) so they can appear verbatim in
-// attrib/* metric names and scenario stall_frac assertions.
+// scenario stall_frac assertions and in metric paths.
 var names = [NumCategories]string{
 	"on-chip",
 	"dram",
@@ -145,16 +145,6 @@ func (l *Ledger) Reset() {
 //starnuma:hotpath several calls per recorded demand access
 func (l *Ledger) Charge(socket int, c Category, ps sim.Time) {
 	l.cells[socket*int(NumCategories)+int(c)] += int64(ps)
-}
-
-// CategoryTotal returns the ledger's running total for one category
-// across sockets (metrics harvesting reads it at window end).
-func (l *Ledger) CategoryTotal(c Category) int64 {
-	var s int64
-	for sk := 0; sk < l.sockets; sk++ {
-		s += l.cells[sk*int(NumCategories)+int(c)]
-	}
-	return s
 }
 
 // Window snapshots the ledger into a WindowProfile for the given phase

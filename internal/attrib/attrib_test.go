@@ -46,10 +46,11 @@ func TestLedgerChargeAndWindow(t *testing.T) {
 	l.Charge(0, DRAM, 100)
 	l.Charge(2, DRAM, 50)
 	l.Charge(1, CXLQueue, 7)
-	if got := l.CategoryTotal(DRAM); got != 150 {
-		t.Fatalf("CategoryTotal(DRAM) = %d", got)
-	}
 	w := l.Window(4, 157)
+	n := int(NumCategories)
+	if w.Cells[DRAM] != 100 || w.Cells[2*n+int(DRAM)] != 50 || w.Cells[n+int(CXLQueue)] != 7 {
+		t.Fatalf("window cells %v", w.Cells)
+	}
 	if w.Phase != 4 || w.TotalPS != 157 {
 		t.Fatalf("window header %+v", w)
 	}
@@ -62,7 +63,7 @@ func TestLedgerChargeAndWindow(t *testing.T) {
 		t.Fatal("window snapshot aliases ledger cells")
 	}
 	l.Reset()
-	if l.CategoryTotal(DRAM) != 0 || l.CategoryTotal(CXLQueue) != 0 {
+	if l.Window(0, 0).Sum() != 0 {
 		t.Fatal("Reset left charges behind")
 	}
 }

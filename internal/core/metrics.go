@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"starnuma/internal/attrib"
 )
 
 // metricName turns a component name ("UPI:s0->s1", "pool.ch2") into a
@@ -99,14 +97,6 @@ func (ts *timingSystem) harvest(phase int) {
 		if ts.topo.HasPool() {
 			m.Point("fault/pool/channels_down", t,
 				float64(ts.poolFault.FailedChannels(ts.sys.Pool.Channels)))
-		}
-	}
-
-	// Stall attribution; only when the ledger is active, so
-	// attribution-off manifests carry no attrib/* keys.
-	if ts.led != nil {
-		for c := attrib.Category(0); c < attrib.NumCategories; c++ {
-			m.Add("attrib/"+c.String()+"/ps", uint64(ts.led.CategoryTotal(c)))
 		}
 	}
 

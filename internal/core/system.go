@@ -425,20 +425,7 @@ func unloadedLatencies(topo *topology.Topology, local sim.Time) [stats.NumAccess
 	out[stats.Pool] = 2*cfg.CXLOneWay + local
 	// BT_Socket: mean 3-hop network latency over R,H,O combinations plus
 	// a home memory/directory access (§V-A).
-	if topo.Sockets() > 1 {
-		var sum sim.Time
-		var n int
-		for r := topology.NodeID(0); int(r) < topo.Sockets(); r++ {
-			for h := topology.NodeID(0); int(h) < topo.Sockets(); h++ {
-				for o := topology.NodeID(0); int(o) < topo.Sockets(); o++ {
-					if r == o {
-						continue
-					}
-					sum += topo.OneWayLatency(r, h) + topo.OneWayLatency(h, o) + topo.OneWayLatency(o, r)
-					n++
-				}
-			}
-		}
+	if sum, n := topo.ThreeHopPaths(); n > 0 {
 		out[stats.BTSocket] = sim.Time(int64(sum)/int64(n)) + local
 	} else {
 		out[stats.BTSocket] = local

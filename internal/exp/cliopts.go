@@ -14,10 +14,9 @@ import (
 	"starnuma/internal/runner"
 )
 
-// CLIFlags is the flag set shared by cmd/starnuma and cmd/expall. Both
-// CLIs register the same run-shaping flags through AddCLIFlags and
-// materialise Options through CLIFlags.Options, so the two stay in sync
-// by construction.
+// CLIFlags holds the run-shaping flags of cmd/starnuma's experiment
+// interface: AddCLIFlags registers them and CLIFlags.Options
+// materialises them into experiment Options.
 type CLIFlags struct {
 	Quick     bool
 	Scale     float64
@@ -48,9 +47,8 @@ type CLIFlags struct {
 }
 
 // AddCLIFlags registers the shared run-shaping flags on fs and returns
-// the struct their parsed values land in. progressDefault seeds
-// -progress (expall defaults on, starnuma off).
-func AddCLIFlags(fs *flag.FlagSet, progressDefault bool) *CLIFlags {
+// the struct their parsed values land in.
+func AddCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	f := &CLIFlags{}
 	fs.BoolVar(&f.Quick, "quick", false, "use the quick (small) configuration")
 	fs.Float64Var(&f.Scale, "scale", 0, "override workload footprint scale")
@@ -59,7 +57,7 @@ func AddCLIFlags(fs *flag.FlagSet, progressDefault bool) *CLIFlags {
 	fs.IntVar(&f.Jobs, "jobs", 0, "parallel worker slots (0 = GOMAXPROCS)")
 	fs.StringVar(&f.CacheDir, "cache", runner.DefaultCacheDir, "result cache directory")
 	fs.BoolVar(&f.NoCache, "nocache", false, "disable the persistent result cache")
-	fs.BoolVar(&f.Progress, "progress", progressDefault, "report job progress on stderr")
+	fs.BoolVar(&f.Progress, "progress", false, "report job progress on stderr")
 	fs.StringVar(&f.Metrics, "metrics", "", "collect instrumentation and write a run manifest to this JSON file")
 	fs.StringVar(&f.Attrib, "attrib", "", "attribute stall time and write a profile document to this JSON file (see: starnuma prof)")
 	fs.StringVar(&f.Faults, "faults", "", "run under the fault-injection plan in this JSON file (internal/fault)")

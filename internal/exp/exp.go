@@ -1,6 +1,6 @@
 // Package exp reproduces every table and figure of the StarNUMA
 // evaluation (§V). Each experiment returns a Table whose rows mirror the
-// series the paper reports; cmd/expall renders the full set and
+// series the paper reports; `starnuma -exp all` renders the full set and
 // EXPERIMENTS.md records paper-vs-measured values.
 package exp
 

@@ -303,15 +303,12 @@ func TestAllExperimentsTiny(t *testing.T) {
 		t.Skip("integration")
 	}
 	r := NewRunner(tinyOptions("BFS", "POA"))
-	tables, err := r.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != len(IDs()) {
-		t.Fatalf("All returned %d tables, want %d", len(tables), len(IDs()))
-	}
 	seen := map[string]bool{}
-	for _, tbl := range tables {
+	for _, id := range IDs() {
+		tbl, err := r.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if tbl.ID == "" || tbl.Title == "" || len(tbl.Columns) == 0 || len(tbl.Rows) == 0 {
 			t.Errorf("malformed table %+v", tbl)
 		}
@@ -432,7 +429,7 @@ func TestManifestDeterministic(t *testing.T) {
 // into Options, including -metrics enabling collection.
 func TestCLIFlagsOptions(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := AddCLIFlags(fs, false)
+	f := AddCLIFlags(fs)
 	err := fs.Parse([]string{"-quick", "-scale", "0.1", "-phases", "3",
 		"-workloads", "BFS,TC", "-jobs", "2", "-nocache", "-metrics", "m.json"})
 	if err != nil {
@@ -457,7 +454,7 @@ func TestCLIFlagsOptions(t *testing.T) {
 
 	// Without -metrics, collection stays off.
 	fs2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	f2 := AddCLIFlags(fs2, true)
+	f2 := AddCLIFlags(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +483,7 @@ func TestCLIFlagsRejectNegative(t *testing.T) {
 		{[]string{"-quick", "-scale", "0", "-phases", "0"}, true},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := AddCLIFlags(fs, false)
+		f := AddCLIFlags(fs)
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}

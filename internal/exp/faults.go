@@ -7,16 +7,16 @@ import (
 	"starnuma/internal/fault"
 )
 
-// faultScenarios are the canned degraded-mode plans the sweep compares,
-// in increasing severity. The fault-free scenario anchors the ratios.
-func faultScenarios() []struct {
+// faultScenario is one canned fault plan under its variant-name suffix.
+type faultScenario struct {
 	name string
 	plan *fault.Plan
-} {
-	return []struct {
-		name string
-		plan *fault.Plan
-	}{
+}
+
+// faultScenarios are the canned degraded-mode plans the sweep compares,
+// in increasing severity. The fault-free scenario anchors the ratios.
+func faultScenarios() []faultScenario {
+	return []faultScenario{
 		{"none", nil},
 		{"flap", fault.FlapPlan()},
 		{"degrade", fault.DegradePlan(4)},
@@ -24,6 +24,10 @@ func faultScenarios() []struct {
 		{"deadpool", fault.DeadPoolPlan()},
 	}
 }
+
+// survivablePlans counts faultScenarios' leading plans that kill no
+// hardware: none, flap and degrade.
+const survivablePlans = 3
 
 // FaultSweep runs the StarNUMA configuration under the canned fault
 // plans — none, transient CXL flaps, a 4× CXL degradation, one dead

@@ -40,7 +40,7 @@ func TestFaultsFlag(t *testing.T) {
 	}
 
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	cf := AddCLIFlags(fs, false)
+	cf := AddCLIFlags(fs)
 	if err := fs.Parse([]string{"-quick", "-faults", good}); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFaultsFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		cf := AddCLIFlags(fs, false)
+		cf := AddCLIFlags(fs)
 		if err := fs.Parse([]string{"-faults", bad}); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestFaultsFlag(t *testing.T) {
 		}
 	}
 	fs2 := flag.NewFlagSet("t", flag.ContinueOnError)
-	cf2 := AddCLIFlags(fs2, false)
+	cf2 := AddCLIFlags(fs2)
 	if err := fs2.Parse([]string{"-faults", filepath.Join(dir, "missing.json")}); err != nil {
 		t.Fatal(err)
 	}

@@ -112,19 +112,7 @@ func Fig3() *Table {
 // unloaded 3-hop socket path vs the 4-hop pool path.
 func Fig4() *Table {
 	topo := topology.New(topology.DefaultConfig())
-	var sum int64
-	var n int64
-	for rr := topology.NodeID(0); int(rr) < topo.Sockets(); rr++ {
-		for h := topology.NodeID(0); int(h) < topo.Sockets(); h++ {
-			for o := topology.NodeID(0); int(o) < topo.Sockets(); o++ {
-				if rr == o {
-					continue
-				}
-				sum += int64(topo.OneWayLatency(rr, h) + topo.OneWayLatency(h, o) + topo.OneWayLatency(o, rr))
-				n++
-			}
-		}
-	}
+	sum, n := topo.ThreeHopPaths()
 	threeHop := float64(sum) / float64(n) / 1000
 	pn := topo.PoolNode()
 	fourHop := (topo.OneWayLatency(0, pn) + topo.OneWayLatency(pn, 9) +

@@ -33,8 +33,8 @@ func TestMetricNamespaceDocumented(t *testing.T) {
 	cfg.TimedInstr = 20_000
 	cfg.WarmupInstr = 2_000
 	cfg.CollectMetrics = true
-	// Attribution on so the attrib/* mirror keys appear and must be
-	// documented too.
+	// Attribution on, so the check covers a ledger-carrying run: its
+	// totals live in Result.Profile and emit no attrib/* metric keys.
 	cfg.Attrib = true
 	cfg.Faults = fault.FlapPlan()
 	res, err := core.Run(core.StarNUMASystem(), cfg, spec)
@@ -65,6 +65,13 @@ func TestMetricNamespaceDocumented(t *testing.T) {
 	}
 	for name := range res.Metrics.Series {
 		collect(name)
+	}
+
+	if prefixes["attrib"] {
+		t.Error("metrics carry attrib/* keys; stall totals belong to Result.Profile only")
+	}
+	if res.Profile == nil {
+		t.Error("Attrib=true produced no stall profile")
 	}
 
 	var missing []string

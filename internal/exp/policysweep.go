@@ -6,30 +6,9 @@ import (
 
 	"starnuma/internal/attrib"
 	"starnuma/internal/core"
-	"starnuma/internal/fault"
 	"starnuma/internal/migrate"
 	"starnuma/internal/stats"
 )
-
-// sweepPlans are the fault plans the tournament scores under: fault-free,
-// transient CXL flaps, and a persistent 4× CXL degradation. Kill plans
-// (dead channel / dead device) are deliberately excluded — the zero-cost
-// oracle commits its whole-run placement up front and cannot drain a
-// dying pool, so kill plans would measure drain mechanics rather than
-// placement quality.
-func sweepPlans() []struct {
-	name string
-	plan *fault.Plan
-} {
-	return []struct {
-		name string
-		plan *fault.Plan
-	}{
-		{"none", nil},
-		{"flap", fault.FlapPlan()},
-		{"degrade", fault.DegradePlan(4)},
-	}
-}
 
 // PolicySweep runs the migration-policy tournament: every policy in the
 // migrate registry, each on the pooled StarNUMA system across the full
@@ -45,7 +24,13 @@ func (r *Runner) PolicySweep() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	plans := sweepPlans()
+	// The tournament scores under faultScenarios' survivable prefix:
+	// fault-free, transient CXL flaps, and a persistent 4× CXL
+	// degradation. Kill plans (dead channel / dead device) are
+	// deliberately excluded — the zero-cost oracle commits its whole-run
+	// placement up front and cannot drain a dying pool, so kill plans
+	// would measure drain mechanics rather than placement quality.
+	plans := faultScenarios()[:survivablePlans]
 	pols := migrate.Policies()
 
 	vs := []variant{r.baselineVariant()}

@@ -5,7 +5,7 @@ import "fmt"
 // Experiment is one registered reproduction: a stable identifier, the
 // figure or table of the paper it reproduces, and the function that
 // runs it. The registry below is the single source of truth — IDs,
-// ByID, All and both CLIs' -list output all derive from it, so adding
+// ByID and the CLI's -list and -exp all derive from it, so adding
 // an experiment is one literal here plus its Run method.
 type Experiment struct {
 	// ID is the canonical identifier ("fig8a", "tab3", "extrep").
@@ -105,17 +105,4 @@ func (r *Runner) ByID(id string) (*Table, error) {
 		return nil, fmt.Errorf("exp: unknown experiment %q (see IDs())", id)
 	}
 	return e.Run(r)
-}
-
-// All runs every experiment in paper order.
-func (r *Runner) All() ([]*Table, error) {
-	var out []*Table
-	for _, e := range registry {
-		t, err := e.Run(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

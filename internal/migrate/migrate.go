@@ -141,8 +141,8 @@ func DefaultConfig() Config {
 // AutoConfig returns a Config with zero thresholds, signalling that the
 // caller should derive them from the workload's access rate (the paper
 // likewise starts HI at 20K region accesses per 1B-instruction phase and
-// adjusts dynamically, §IV-C). core.Run fills the zeros via
-// Config.AutoScale.
+// adjusts dynamically, §IV-C). The StarNUMA policy factories
+// (starnumaConfig) fill the zeros via Config.AutoScale.
 func AutoConfig() Config {
 	c := DefaultConfig()
 	c.HiStart, c.HiMin, c.HiMax, c.LoStart, c.LoMax = 0, 0, 0, 0, 0

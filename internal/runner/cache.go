@@ -18,7 +18,7 @@ import (
 // or hand-copied file whose embedded version mismatches is ignored.
 // Bump it whenever a model change alters simulation results without
 // changing any configuration struct.
-const SchemaVersion = "starnuma-results-v1"
+const SchemaVersion = "starnuma-results-v2"
 
 // DefaultCacheDir is where CLIs persist results by default.
 const DefaultCacheDir = ".starnuma-cache"

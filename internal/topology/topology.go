@@ -183,6 +183,25 @@ func (t *Topology) OneWayLatency(from, to NodeID) sim.Time {
 	return total
 }
 
+// ThreeHopPaths sums the unloaded network latency of every coherence
+// 3-hop block transfer R→H→O→R over the sockets (requester R, home H,
+// owner O ≠ R) and returns the sum with the number of paths, so callers
+// take the mean at their own precision. Both are 0 with one socket.
+func (t *Topology) ThreeHopPaths() (sum sim.Time, n int) {
+	for r := NodeID(0); int(r) < t.cfg.Sockets; r++ {
+		for h := NodeID(0); int(h) < t.cfg.Sockets; h++ {
+			for o := NodeID(0); int(o) < t.cfg.Sockets; o++ {
+				if r == o {
+					continue
+				}
+				sum += t.OneWayLatency(r, h) + t.OneWayLatency(h, o) + t.OneWayLatency(o, r)
+				n++
+			}
+		}
+	}
+	return sum, n
+}
+
 // HopCount classifies an access from a socket to a home node by the
 // paper's terminology: 0 = local, 1 = intra-chassis (single UPI hop),
 // 2 = inter-chassis (through both ASICs).
