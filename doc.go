@@ -14,8 +14,8 @@
 //   - the StarNUMA architecture: pool, trackers, Algorithm 1 migration;
 //   - synthetic models of the paper's eight workloads;
 //   - an experiment harness regenerating every table and figure of the
-//     paper's evaluation (internal/exp; cmd/starnuma -exp all), with benchmark
-//     entry points in bench_test.go.
+//     paper's evaluation, plus the extension and ablation studies
+//     (internal/exp; cmd/starnuma -exp all).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured

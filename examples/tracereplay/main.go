@@ -58,7 +58,8 @@ func main() {
 	}
 
 	// Steps B+C, twice: once from the live generator, once replaying the
-	// trace files. Identical streams must produce identical results.
+	// trace files. Identical streams must produce identical results, so
+	// any difference exits non-zero.
 	fromGen, err := core.Run(core.StarNUMASystem(), sim, spec)
 	if err != nil {
 		log.Fatal(err)
@@ -77,4 +78,8 @@ func main() {
 		fromGen.IPC, fromGen.AMAT.Measured().Nanos(), fromGen.PoolPages)
 	fmt.Printf("%-12s %8.3f %11.1fns %10d\n", "trace file",
 		fromTrace.IPC, fromTrace.AMAT.Measured().Nanos(), fromTrace.PoolPages)
+	if fromGen.IPC != fromTrace.IPC || fromGen.AMAT.Measured() != fromTrace.AMAT.Measured() ||
+		fromGen.PoolPages != fromTrace.PoolPages {
+		log.Fatal("trace replay diverged from the generator run")
+	}
 }

@@ -36,7 +36,7 @@ const (
 	// OnChip is the memory controller's on-chip portion of an access.
 	OnChip Category = iota
 	// DRAM is DRAM service time: channel serialization plus device
-	// latency (row activation for the banked model) after queueing.
+	// latency after queueing.
 	DRAM
 	// DRAMQueue is time queued for a busy memory channel.
 	DRAMQueue

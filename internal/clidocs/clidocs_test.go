@@ -3,7 +3,8 @@
 // extracted and its flags and subcommands are checked against the
 // tool's actual usage output, so a renamed flag or removed subcommand
 // fails the build instead of silently rotting the docs. Any other
-// mention of a cmd/<tool> must name a tool that exists.
+// mention of a cmd/<tool> or examples/<name> must name a directory that
+// exists.
 package clidocs
 
 import (
@@ -23,7 +24,7 @@ var docSources = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"}
 
 var (
 	cmdLine     = regexp.MustCompile("go run \\./cmd/([a-z]+)([^`\\n]*)")
-	toolMention = regexp.MustCompile(`\bcmd/([a-z]+)`)
+	toolMention = regexp.MustCompile(`\b(cmd|examples)/([a-z]+)`)
 )
 
 // stopTokens end argument scanning: everything after shell syntax
@@ -190,8 +191,9 @@ func (h *usageHarvester) corpus(t *testing.T, tool string, subcmds []string) str
 	return text
 }
 
-// TestMentionedToolsExist fails when the docs name a cmd/<tool>, in a
-// command line or in prose, that is not in the tree.
+// TestMentionedToolsExist fails when the docs name a cmd/<tool> or an
+// examples/<name>, in a command line or in prose, that is not in the
+// tree.
 func TestMentionedToolsExist(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -201,13 +203,13 @@ func TestMentionedToolsExist(t *testing.T) {
 	docLines(t, root, func(where, line string) {
 		for _, m := range toolMention.FindAllStringSubmatch(line, -1) {
 			mentions++
-			if _, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil {
-				t.Errorf("%s: names cmd/%s, which does not exist", where, m[1])
+			if _, err := os.Stat(filepath.Join(root, m[1], m[2])); err != nil {
+				t.Errorf("%s: names %s/%s, which does not exist", where, m[1], m[2])
 			}
 		}
 	})
 	if mentions < 10 {
-		t.Fatalf("found only %d cmd/<tool> mentions; the extractor regressed", mentions)
+		t.Fatalf("found only %d cmd/<tool> and examples/<name> mentions; the extractor regressed", mentions)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"starnuma/internal/cache"
-	"starnuma/internal/memdev"
 	"starnuma/internal/migrate"
 	"starnuma/internal/sim"
 	"starnuma/internal/stats"
@@ -695,24 +694,5 @@ func TestSoftwareTrackingValidation(t *testing.T) {
 	cfg.SoftwareTracking.FaultPenaltyCycles = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative fault penalty accepted")
-	}
-}
-
-func TestBankedDRAMPipeline(t *testing.T) {
-	spec := tinySpec(t, "CC")
-	sys := StarNUMASystem()
-	hit, miss := memdev.DefaultBankLatencies()
-	sys.SocketMem.BanksPerChannel = 8
-	sys.SocketMem.RowHitLatency = hit
-	sys.SocketMem.RowMissLatency = miss
-	sys.PoolMem.BanksPerChannel = 8
-	sys.PoolMem.RowHitLatency = hit
-	sys.PoolMem.RowMissLatency = miss
-	r, err := Run(sys, tinySim(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IPC <= 0 || r.AMAT.Measured() <= 0 {
-		t.Fatalf("banked pipeline produced nonsense: %+v", r)
 	}
 }

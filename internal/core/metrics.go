@@ -42,8 +42,7 @@ func (ts *timingSystem) harvest(phase int) {
 		m.Point(name+"/util", t, l.Utilization(ts.w.simTime))
 	}
 
-	// Memory controllers, per channel (plus row-buffer outcomes for the
-	// banked model).
+	// Memory controllers, per channel.
 	for _, ctrl := range ts.ctrls {
 		for _, st := range ctrl.Stats() {
 			name := "mem/" + metricName(st.Name)
@@ -51,11 +50,6 @@ func (ts *timingSystem) harvest(phase int) {
 			m.Add(name+"/bytes", st.Bytes)
 			m.Add(name+"/busy_ps", uint64(st.BusyTime))
 			m.Add(name+"/queued_ps", uint64(st.QueuedTime))
-		}
-		for i, bs := range ctrl.BankStats() {
-			name := fmt.Sprintf("mem/%s/ch%d", metricName(ctrl.Name()), i)
-			m.Add(name+"/row_hits", bs.RowHits)
-			m.Add(name+"/row_misses", bs.RowMisses)
 		}
 	}
 

@@ -804,8 +804,8 @@ func (ts *timingSystem) chargeHop(li int, socket topology.NodeID, arrived, deliv
 
 // chargeMem books one memory access of a recorded demand access: the
 // controller round trip decomposes exactly as done − arrived = on-chip
-// + channel queuing + DRAM service (serialization, or bank service plus
-// bus transfer for the banked model). Caller guarantees ts.led != nil.
+// + channel queuing + DRAM service (channel serialization plus device
+// latency). Caller guarantees ts.led != nil.
 //
 //starnuma:hotpath one call per charged memory access
 func (ts *timingSystem) chargeMem(socket, node topology.NodeID, arrived, done, queuing sim.Time) {

@@ -12,8 +12,7 @@
 // byte-identical traces. Recording is off by default and nil-safe —
 // every method of a nil *Buffer is an allocation-free no-op — which
 // lets model code instrument unconditionally and pay nothing when
-// tracing is disabled (pinned by BenchmarkEvtraceDisabled and
-// TestDisabledHotPathAllocatesNothing).
+// tracing is disabled (pinned by TestDisabledHotPathAllocatesNothing).
 //
 // The package is named evtrace because internal/trace is the workload
 // trace-replay package; the two are unrelated.

@@ -203,37 +203,42 @@ func (c cell) key() string { return c.v.name + "|" + c.spec.Name }
 
 // results returns the result of every cell in request order. The cells
 // not yet memoised run as one wave of suite-level jobs through the
-// parallel scheduler, so an experiment declares everything it reads and
-// fetches it in one call.
+// parallel scheduler, a cell requested twice as one job, so an
+// experiment declares everything it reads and fetches it in one call.
 func (r *Runner) results(cells []cell) ([]*core.Result, error) {
-	out := make([]*core.Result, len(cells))
 	var jobs []runner.Job
-	var pending []int // the cell index of each job
+	var keys []string           // the memo key of each job
+	queued := map[string]bool{} // keys already given a job
 	r.mu.Lock()
-	for i, c := range cells {
-		if res, ok := r.memo[c.key()]; ok {
-			out[i] = res
+	for _, c := range cells {
+		k := c.key()
+		if _, ok := r.memo[k]; ok || queued[k] {
 			continue
 		}
-		pending = append(pending, i)
+		queued[k] = true
+		keys = append(keys, k)
 		jobs = append(jobs, runner.Job{
 			Label: c.v.name + "/" + c.spec.Name,
 			Sys:   c.v.sys, Cfg: c.v.cfg, Spec: c.spec,
 		})
 	}
 	r.mu.Unlock()
-	if len(jobs) == 0 {
-		return out, nil
+	if len(jobs) > 0 {
+		ran, err := r.exec.RunAll(jobs)
+		if err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
+		}
+		r.mu.Lock()
+		for j, k := range keys {
+			r.memo[k] = ran[j]
+		}
+		r.mu.Unlock()
 	}
-	ran, err := r.exec.RunAll(jobs)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
+	out := make([]*core.Result, len(cells))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for j, i := range pending {
-		out[i] = ran[j]
-		r.memo[cells[i].key()] = ran[j]
+	for i, c := range cells {
+		out[i] = r.memo[c.key()]
 	}
 	return out, nil
 }

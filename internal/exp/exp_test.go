@@ -171,6 +171,16 @@ func TestRunnerCaching(t *testing.T) {
 	if again[0] != res[1] {
 		t.Error("fresh cell not memoised under its own key")
 	}
+
+	// A fresh cell requested twice in one call runs once.
+	started = r.Exec().Metrics().RunsStarted
+	dup, err := r.results([]cell{{base, bfs}, {base, bfs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Exec().Metrics().RunsStarted - started; got != 1 || dup[0] != dup[1] {
+		t.Errorf("repeated cell started %d runs, want 1", got)
+	}
 }
 
 // TestPolicyAppliesToEveryPooledColumn pins that Options.Sim.Policy
@@ -228,7 +238,7 @@ func TestByIDAndIDs(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 	ids := IDs()
-	if len(ids) != 20 {
+	if len(ids) != 21 {
 		t.Fatalf("IDs = %v", ids)
 	}
 	seen := map[string]bool{}
@@ -297,7 +307,7 @@ func TestQuickAndDefaultOptionsValid(t *testing.T) {
 // TestAllExperimentsTiny drives every experiment end to end at a tiny
 // scale with a two-workload subset — the cheapest proof that the whole
 // harness stays wired together. Experiments that hard-code their own
-// workloads (fig2/13/14, extdrift) ignore the subset.
+// workloads (fig2/13/14, extdrift, ablate) ignore the subset.
 func TestAllExperimentsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")

@@ -64,6 +64,8 @@ var registry = []Experiment{
 		Run: (*Runner).FaultSweep},
 	{ID: "policysweep", Aliases: []string{"tournament"}, Title: "Migration-policy tournament across workloads and fault plans", PaperRef: "§V-B/§VI extension",
 		Run: (*Runner).PolicySweep},
+	{ID: "ablate", Title: "Algorithm 1 knob and block-transfer ablations", PaperRef: "§IV-C/§III-D4/Fig. 4 extension",
+		Run: (*Runner).Ablate},
 }
 
 // Experiments returns the registered experiments in paper order. The

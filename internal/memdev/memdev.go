@@ -22,13 +22,7 @@ type Config struct {
 	Channels    int       // number of DDR channels
 	ChannelBW   link.GBps // per-channel bandwidth
 	OnChip      sim.Time  // on-chip portion charged per access
-	DRAMLatency sim.Time  // DRAM array access latency (simple model)
-
-	// BanksPerChannel > 0 switches to the open-page bank model (see
-	// banks.go): DRAMLatency is ignored and RowHit/RowMissLatency apply.
-	BanksPerChannel int
-	RowHitLatency   sim.Time
-	RowMissLatency  sim.Time
+	DRAMLatency sim.Time  // DRAM array access latency
 }
 
 // DefaultSocketConfig matches the paper's scaled simulation socket
@@ -49,8 +43,7 @@ type Controller struct {
 	name     string
 	cfg      Config
 	channels []*link.Link
-	banked   []*bankedChannel // non-nil when BanksPerChannel > 0
-	remap    []int            // fault remap of channel indexes; nil = healthy
+	remap    []int // fault remap of channel indexes; nil = healthy
 }
 
 // NewController builds a controller from cfg. It panics on nonsensical
@@ -63,17 +56,6 @@ func NewController(name string, cfg Config) *Controller {
 		panic(fmt.Sprintf("memdev %s: negative latency", name))
 	}
 	c := &Controller{name: name, cfg: cfg}
-	if cfg.BanksPerChannel > 0 {
-		if cfg.RowHitLatency <= 0 || cfg.RowMissLatency < cfg.RowHitLatency {
-			panic(fmt.Sprintf("memdev %s: invalid bank latencies %v/%v",
-				name, cfg.RowHitLatency, cfg.RowMissLatency))
-		}
-		for i := 0; i < cfg.Channels; i++ {
-			c.banked = append(c.banked, newBankedChannel(
-				cfg.BanksPerChannel, float64(cfg.ChannelBW), cfg.RowHitLatency, cfg.RowMissLatency))
-		}
-		return c
-	}
 	for i := 0; i < cfg.Channels; i++ {
 		c.channels = append(c.channels,
 			link.New(fmt.Sprintf("%s.ch%d", name, i), cfg.ChannelBW, cfg.DRAMLatency))
@@ -93,12 +75,8 @@ func (c *Controller) Config() Config { return c.cfg }
 // DRAM-service segments.
 func (c *Controller) OnChipLatency() sim.Time { return c.cfg.OnChip }
 
-// UnloadedLatency is the zero-contention service time of one access
-// (a row-buffer miss, for the banked model).
+// UnloadedLatency is the zero-contention service time of one access.
 func (c *Controller) UnloadedLatency() sim.Time {
-	if c.cfg.BanksPerChannel > 0 {
-		return c.cfg.OnChip + c.cfg.RowMissLatency
-	}
 	return c.cfg.OnChip + c.cfg.DRAMLatency
 }
 
@@ -108,12 +86,7 @@ func (c *Controller) UnloadedLatency() sim.Time {
 //
 //starnuma:hotpath one call per memory-device access
 func (c *Controller) Access(now sim.Time, addr uint64, bytes int) (done, queuing sim.Time) {
-	i := c.channelFor(addr)
-	if c.banked != nil {
-		return c.banked[i].access(now+c.cfg.OnChip, addr, bytes)
-	}
-	done, queuing = c.channels[i].Send(now+c.cfg.OnChip, bytes)
-	return done, queuing
+	return c.channels[c.channelFor(addr)].Send(now+c.cfg.OnChip, bytes)
 }
 
 // channelFor interleaves 64B blocks across channels, as real controllers
@@ -166,8 +139,7 @@ func (c *Controller) ApplyFault(st fault.PoolState) {
 	c.remap = remap
 }
 
-// Stats returns per-channel counters (simple model only; empty for the
-// banked model — see BankStats).
+// Stats returns per-channel counters.
 func (c *Controller) Stats() []link.Stats {
 	out := make([]link.Stats, len(c.channels))
 	for i, ch := range c.channels {
@@ -176,29 +148,9 @@ func (c *Controller) Stats() []link.Stats {
 	return out
 }
 
-// BankStats returns per-channel row-buffer statistics; nil for the
-// simple model.
-func (c *Controller) BankStats() []BankStats {
-	if c.banked == nil {
-		return nil
-	}
-	out := make([]BankStats, len(c.banked))
-	for i, ch := range c.banked {
-		out[i] = ch.stats
-	}
-	return out
-}
-
 // Reset clears all channel counters and busy horizons.
 func (c *Controller) Reset() {
 	for _, ch := range c.channels {
 		ch.Reset()
-	}
-	for _, ch := range c.banked {
-		ch.busTill = 0
-		ch.stats = BankStats{}
-		for i := range ch.banks {
-			ch.banks[i] = bankState{openRow: -1}
-		}
 	}
 }

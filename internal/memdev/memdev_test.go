@@ -98,96 +98,6 @@ func BenchmarkControllerAccess(b *testing.B) {
 	}
 }
 
-func bankedConfig() Config {
-	hit, miss := DefaultBankLatencies()
-	return Config{
-		Channels: 1, ChannelBW: 38.4, OnChip: 30 * sim.Nanosecond,
-		BanksPerChannel: 8, RowHitLatency: hit, RowMissLatency: miss,
-	}
-}
-
-func TestBankedRowBufferHit(t *testing.T) {
-	c := NewController("b", bankedConfig())
-	// First access to a row: miss. Second to the same row: hit, cheaper.
-	done1, _ := c.Access(0, 0x1000, 64)
-	done2, _ := c.Access(done1, 0x1000, 64)
-	miss := done1
-	hit := done2 - done1
-	if hit >= miss {
-		t.Fatalf("row hit (%v) not cheaper than miss (%v)", hit, miss)
-	}
-	st := c.BankStats()
-	if st[0].RowHits != 1 || st[0].RowMisses != 1 {
-		t.Fatalf("bank stats = %+v", st)
-	}
-}
-
-func TestBankedRowConflict(t *testing.T) {
-	c := NewController("b", bankedConfig())
-	c.Access(0, 0, 64)
-	// Same bank, different row (stride = rowBytes * banks).
-	_, q := c.Access(0, uint64(rowBytes*8), 64)
-	if q == 0 {
-		t.Fatal("bank conflict saw no queuing")
-	}
-	st := c.BankStats()
-	if st[0].RowMisses != 2 {
-		t.Fatalf("bank stats = %+v", st)
-	}
-}
-
-func TestBankedUnloadedLatency(t *testing.T) {
-	c := NewController("b", bankedConfig())
-	want := 30*sim.Nanosecond + 48*sim.Nanosecond
-	if got := c.UnloadedLatency(); got != want {
-		t.Fatalf("unloaded = %v, want %v", got, want)
-	}
-}
-
-func TestBankedParallelBanks(t *testing.T) {
-	c := NewController("b", bankedConfig())
-	// Two accesses to different banks at the same instant overlap their
-	// array access; only the bus serialises.
-	done1, _ := c.Access(0, 0, 64)
-	done2, q2 := c.Access(0, uint64(rowBytes), 64) // next bank
-	if done2 > done1+10*sim.Nanosecond {
-		t.Fatalf("bank-parallel access too slow: %v vs %v", done2, done1)
-	}
-	_ = q2
-}
-
-func TestBankedReset(t *testing.T) {
-	c := NewController("b", bankedConfig())
-	c.Access(0, 0, 64)
-	c.Reset()
-	if st := c.BankStats(); st[0].RowHits != 0 || st[0].RowMisses != 0 {
-		t.Fatalf("reset kept stats: %+v", st)
-	}
-	// Open rows closed: next access is a miss again.
-	c.Access(0, 0, 64)
-	if st := c.BankStats(); st[0].RowMisses != 1 {
-		t.Fatalf("row survived reset: %+v", st)
-	}
-}
-
-func TestBankedInvalidLatenciesPanic(t *testing.T) {
-	cfg := bankedConfig()
-	cfg.RowMissLatency = cfg.RowHitLatency / 2
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewController("bad", cfg)
-}
-
-func TestSimpleModelHasNoBankStats(t *testing.T) {
-	c := NewController("s", DefaultSocketConfig())
-	if c.BankStats() != nil {
-		t.Fatal("simple model returned bank stats")
-	}
-}
-
 func TestApplyFaultRemapsDeadChannel(t *testing.T) {
 	c := NewController("pool", DefaultPoolConfig()) // 2 channels
 	c.ApplyFault(fault.PoolState{Down: []int{0}})
