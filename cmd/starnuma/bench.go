@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"syscall"
 )
 
 // benchReport is the -benchjson document: written by the experiment
@@ -12,19 +13,24 @@ import (
 // overall step-C throughput — the headline number docs/PERFORMANCE.md's
 // methodology tracks and CI gates on; it is only meaningful for
 // cache-disabled runs (windows_done is 0 on a full cache hit).
+// StreamCacheBytes and PeakRSSMB record what the run held in memory:
+// the phase-stream cache's resident bytes at the end of the run and
+// the process's peak resident set. The gate reads neither.
 type benchReport struct {
-	Timestamp      string            `json:"timestamp"`
-	Quick          bool              `json:"quick"`
-	Scale          float64           `json:"scale"`
-	Jobs           int               `json:"jobs"`
-	SuiteSeconds   float64           `json:"suite_seconds"`
-	CacheHits      int64             `json:"cache_hits"`
-	CacheMisses    int64             `json:"cache_misses"`
-	WindowsDone    int64             `json:"windows_done"`
-	WindowsPerSec  float64           `json:"windows_per_sec"`
-	WindowMemoHits int64             `json:"window_memo_hits"`
-	IngestMemoHits int64             `json:"ingest_memo_hits"`
-	Experiments    []benchExperiment `json:"experiments"`
+	Timestamp        string            `json:"timestamp"`
+	Quick            bool              `json:"quick"`
+	Scale            float64           `json:"scale"`
+	Jobs             int               `json:"jobs"`
+	SuiteSeconds     float64           `json:"suite_seconds"`
+	CacheHits        int64             `json:"cache_hits"`
+	CacheMisses      int64             `json:"cache_misses"`
+	WindowsDone      int64             `json:"windows_done"`
+	WindowsPerSec    float64           `json:"windows_per_sec"`
+	WindowMemoHits   int64             `json:"window_memo_hits"`
+	IngestMemoHits   int64             `json:"ingest_memo_hits"`
+	StreamCacheBytes int64             `json:"stream_cache_bytes"`
+	PeakRSSMB        float64           `json:"peak_rss_mb"`
+	Experiments      []benchExperiment `json:"experiments"`
 }
 
 // benchExperiment is one per-experiment timing record. Windows counts
@@ -43,6 +49,16 @@ type benchExperiment struct {
 	WindowsPerSec  float64 `json:"windows_per_sec,omitempty"`
 	WindowMemoHits int64   `json:"window_memo_hits"`
 	IngestMemoHits int64   `json:"ingest_memo_hits"`
+}
+
+// peakRSSMB returns the process's peak resident set size (ru_maxrss,
+// kilobytes on Linux) in MiB, or 0 when it cannot be read.
+func peakRSSMB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Maxrss) / 1024
 }
 
 func (b *benchReport) write(path string) error {

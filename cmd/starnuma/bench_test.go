@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -100,5 +102,25 @@ func TestCompareExperimentsFailsOnBigDrop(t *testing.T) {
 	// Report-only mode never fails.
 	if _, _, fail := compareExperiments(base, fresh, 0); fail {
 		t.Fatal("report-only mode (max-exp-drop 0) failed the gate")
+	}
+}
+
+// A baseline written before the report carried its memory fields still
+// reads, and the gate still measures it.
+func TestBaselineWithoutMemoryFieldsReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"suite_seconds": 100, "windows_done": 500, "windows_per_sec": 5, "experiments": []}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := readBenchReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StreamCacheBytes != 0 || r.PeakRSSMB != 0 {
+		t.Fatalf("absent memory fields read as %d bytes, %v MB", r.StreamCacheBytes, r.PeakRSSMB)
+	}
+	if got, err := throughput(r); err != nil || got != 5 {
+		t.Fatalf("throughput = %v, %v; want 5", got, err)
 	}
 }

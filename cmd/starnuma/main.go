@@ -43,6 +43,7 @@ import (
 	"starnuma/internal/core"
 	"starnuma/internal/exp"
 	"starnuma/internal/prof"
+	"starnuma/internal/workload"
 )
 
 // Exit codes of every subcommand. Misuse and assertion failures are
@@ -338,6 +339,7 @@ func runExperiments(w io.Writer, r *exp.Runner, ids []string, suite bool, render
 	bench.SuiteSeconds = elapsed.Seconds()
 	bench.CacheHits, bench.CacheMisses, bench.WindowsDone = m.CacheHits, m.CacheMisses, m.WindowsDone
 	bench.WindowMemoHits, bench.IngestMemoHits = core.WindowMemo().Hits, core.IngestMemo().Hits
+	bench.StreamCacheBytes, bench.PeakRSSMB = workload.StreamCache().ResidentBytes, peakRSSMB()
 	if bench.SuiteSeconds > 0 {
 		bench.WindowsPerSec = float64(bench.WindowsDone) / bench.SuiteSeconds
 	}

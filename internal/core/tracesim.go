@@ -11,6 +11,7 @@ import (
 	"starnuma/internal/sim"
 	"starnuma/internal/topology"
 	"starnuma/internal/tracker"
+	"starnuma/internal/workload"
 )
 
 // Checkpoint is the output of step B for one phase: the page map at
@@ -78,7 +79,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 			return
 		}
 	}
-	off, pages, writes := s.Off, s.Pages, s.Writes
+	off, words := s.Off, s.Words
 	cores := gen.NumCores()
 	socketOf := make([]int, cores)
 	cur := make([]int32, cores)
@@ -104,7 +105,8 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 			if i+1 >= off[c+1] {
 				active--
 			}
-			p := pages[i]
+			w := words[i]
+			p := w >> workload.WordPageShift
 			sock := socketOf[c]
 			if home[p] == Unassigned {
 				home[p] = topology.NodeID(sock) // first touch
@@ -114,7 +116,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 				}
 			}
 			counts.Record(sock, p)
-			if writes[i] {
+			if w&workload.WordWrite != 0 {
 				counts.RecordWrite(p)
 			}
 		}

@@ -60,6 +60,10 @@ func NewSource(spec workload.Spec, sockets, coresPerSocket int, paths []string) 
 		return nil, fmt.Errorf("trace: file %s has %d cores, system needs %d",
 			paths[0], h.Cores, sockets*coresPerSocket)
 	}
+	if h.Pages > workload.MaxFootprintPages {
+		return nil, fmt.Errorf("trace: file %s has %d pages, more than the %d a phase stream can address",
+			paths[0], h.Pages, workload.MaxFootprintPages)
+	}
 	s.pages = h.Pages
 	s.spec.FootprintPages = h.Pages
 	if err := s.load(0); err != nil {
@@ -98,13 +102,13 @@ func (s *Source) load(i int) error {
 			s.paths[i], h.Cores, h.Pages, s.paths[0])
 	}
 	streams := make([][]workload.Access, h.Cores)
-	for {
+	for n := 0; ; n++ {
 		rec, err := r.Read()
 		if err != nil {
 			break // io.EOF or truncation; partial final record dropped
 		}
-		if int(rec.Core) >= h.Cores || int(rec.Access.Page) >= s.pages {
-			return fmt.Errorf("trace: %s: record out of range: %+v", s.paths[i], rec)
+		if err := s.checkRecord(rec); err != nil {
+			return fmt.Errorf("trace: %s: record %d: %w: %+v", s.paths[i], n, err, rec)
 		}
 		streams[rec.Core] = append(streams[rec.Core], rec.Access)
 	}
@@ -116,6 +120,25 @@ func (s *Source) load(i int) error {
 	s.streams = streams
 	s.built = nil
 	s.cur = i
+	return nil
+}
+
+// checkRecord rejects a record that names a core or page outside the
+// file's shape, or an access a recorded phase stream cannot hold: a
+// zero gap would never advance a core toward its budget, and a block
+// past the page would alias into the next page's blocks.
+func (s *Source) checkRecord(rec Record) error {
+	a := rec.Access
+	switch {
+	case int(rec.Core) >= s.NumCores():
+		return fmt.Errorf("core %d out of range [0, %d)", rec.Core, s.NumCores())
+	case int(a.Page) >= s.pages:
+		return fmt.Errorf("page %d out of range [0, %d)", a.Page, s.pages)
+	case a.Gap < 1 || a.Gap > workload.MaxGap:
+		return fmt.Errorf("gap %d out of range [1, %d]", a.Gap, workload.MaxGap)
+	case a.Block >= workload.BlocksPerPage:
+		return fmt.Errorf("block %d out of range [0, %d)", a.Block, workload.BlocksPerPage)
+	}
 	return nil
 }
 

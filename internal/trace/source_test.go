@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"starnuma/internal/workload"
@@ -163,5 +164,71 @@ func TestSourceValidation(t *testing.T) {
 	}
 	if _, err := NewSource(gen.Spec(), 16, 4, []string{"/nonexistent"}); err == nil {
 		t.Fatal("accepted missing file")
+	}
+}
+
+// writeOneCoreTrace writes a 1-core file of n copies of a and returns
+// its path.
+func writeOneCoreTrace(t *testing.T, pages, n int, a workload.Access) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "phase.sntr")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := NewWriter(f, Header{Workload: "x", Cores: 1, Pages: pages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Write(Record{Access: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Records a phase stream cannot hold are rejected at load with an
+// error naming the file and the record, instead of hanging replay (a
+// core of zero gaps never reaches its budget) or aliasing a block into
+// the next page.
+func TestSourceRejectsUnpackableRecords(t *testing.T) {
+	spec := testGen(t).Spec()
+	for _, tc := range []struct {
+		name string
+		a    workload.Access
+	}{
+		{"gap 0", workload.Access{Gap: 0, Page: 1, Block: 70}},
+		{"gap 0 in-range block", workload.Access{Gap: 0, Page: 1}},
+		{"gap past MaxGap", workload.Access{Gap: workload.MaxGap + 1, Page: 1}},
+		{"block 64", workload.Access{Gap: 1, Page: 1, Block: workload.BlocksPerPage}},
+		{"page past footprint", workload.Access{Gap: 1, Page: 16}},
+	} {
+		path := writeOneCoreTrace(t, 16, 8, tc.a)
+		_, err := NewSource(spec, 1, 1, []string{path})
+		if err == nil {
+			t.Errorf("%s: NewSource accepted %+v", tc.name, tc.a)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "record 0") {
+			t.Errorf("%s: error %q does not name the file and record", tc.name, msg)
+		}
+	}
+	// The boundary values themselves load and replay.
+	path := writeOneCoreTrace(t, 16, 8, workload.Access{Gap: workload.MaxGap, Page: 15, Block: workload.BlocksPerPage - 1, Write: true})
+	src, err := NewSource(spec, 1, 1, []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := src.PhaseStream(0, 3*workload.MaxGap).At(2); got.Gap != workload.MaxGap || got.Block != workload.BlocksPerPage-1 {
+		t.Fatalf("boundary record replayed as %+v", got)
+	}
+	if _, err := NewSource(spec, 1, 1, []string{writeOneCoreTrace(t, workload.MaxFootprintPages+1, 1,
+		workload.Access{Gap: 1})}); err == nil {
+		t.Fatal("accepted a footprint a phase stream cannot address")
 	}
 }

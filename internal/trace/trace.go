@@ -14,6 +14,15 @@
 //	record:  core u16 | gap u32 | page u32 | block u16 | flags u8
 //
 // flags bit 0 = write.
+//
+// The format itself takes any field values. A Source, which replays
+// files through steps B and C, accepts only records a recorded phase
+// stream can hold, and rejects a file at load, naming the record, when
+// one breaks the rule: core below the header's core count, page below
+// its page count (itself at most workload.MaxFootprintPages), gap in
+// [1, workload.MaxGap] and block below workload.BlocksPerPage. A zero
+// gap would never advance a core toward its budget, and an over-wide
+// block would alias into the next page.
 package trace
 
 import (

@@ -331,9 +331,10 @@ func (g *Generator) ResetPhase(phase int) {
 	}
 }
 
-// maxGap bounds the exponential gap draw so a single pathological sample
-// cannot stall a phase.
-const maxGap = 1 << 16
+// MaxGap bounds the exponential gap draw so a single pathological sample
+// cannot stall a phase. Recorded streams store Gap-1 in 16 bits, so no
+// access of any source may exceed it.
+const MaxGap = 1 << 16
 
 // Next returns core's next LLC miss: a pure array read when a recorded
 // phase stream is bound (see SetPhaseBudget), a fresh draw otherwise.
@@ -364,8 +365,8 @@ func (g *Generator) generate(core int) Access {
 	// instruction.
 	u := rng.float64v()
 	gap := uint32(-g.meanGap*math.Log(1-u)) + 1
-	if gap > maxGap {
-		gap = maxGap
+	if gap > MaxGap {
+		gap = MaxGap
 	}
 
 	// Class choice by per-socket cumulative access weight: the first

@@ -98,7 +98,7 @@ func TestAccessFieldsInRange(t *testing.T) {
 		if a.Block >= BlocksPerPage {
 			t.Fatalf("block %d out of range", a.Block)
 		}
-		if a.Gap < 1 || a.Gap > maxGap {
+		if a.Gap < 1 || a.Gap > MaxGap {
 			t.Fatalf("gap %d out of range", a.Gap)
 		}
 	}

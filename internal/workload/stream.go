@@ -27,10 +27,19 @@ import (
 
 // PhaseStream is one phase's recorded miss stream for every core, in
 // struct-of-arrays layout: core c's accesses live at indices
-// [Off[c], Off[c+1]) of the four parallel arrays, and each core's run
-// ends with the first access whose cumulative Gap reaches the
-// recording budget. It is the one form in which steps B and C read
+// [Off[c], Off[c+1]) of the two parallel per-access arrays, and each
+// core's run ends with the first access whose cumulative Gap reaches
+// the recording budget. It is the one form in which steps B and C read
 // accesses (core.AccessSource).
+//
+// Each access is packed into 6 bytes:
+//
+//	GapM1[i] = Gap - 1                              Gap in [1, MaxGap]
+//	Words[i] = Page<<WordPageShift | Block<<1 | W   Page < MaxFootprintPages, Block < BlocksPerPage
+//
+// where W is WordWrite for a write and 0 otherwise. At unpacks one
+// access; step B reads Words directly (the page is
+// Words[i]>>WordPageShift, a write has Words[i]&WordWrite set).
 //
 // Streams are shared — the stream cache hands one PhaseStream to every
 // consumer of the same (spec, shape, budget, phase) — so they are
@@ -40,53 +49,71 @@ type PhaseStream struct {
 	// byte-identical streams, which is what step B's ingest memo keys
 	// on. Empty means the source vouches for no identity, and the memo
 	// is skipped.
-	Sig    string
-	Off    []int32
-	Gaps   []uint32
-	Pages  []uint32
-	Blocks []uint16
-	Writes []bool
+	Sig   string
+	Off   []int32
+	GapM1 []uint16
+	Words []uint32
 }
+
+// The layout of a PhaseStream word: the page number from bit
+// WordPageShift up, then 6 block bits, then the write bit, WordWrite.
+const (
+	WordPageShift = 7
+	WordWrite     = 1
+)
 
 // At returns the access at flat index i.
 func (s *PhaseStream) At(i int32) Access {
-	return Access{Gap: s.Gaps[i], Page: s.Pages[i], Block: s.Blocks[i], Write: s.Writes[i]}
+	w := s.Words[i]
+	return Access{Gap: uint32(s.GapM1[i]) + 1, Page: w >> WordPageShift,
+		Block: uint16(w>>1) & (BlocksPerPage - 1), Write: w&WordWrite != 0}
 }
 
+// bytes is the stream's resident size: the arrays' capacities, which
+// is what the stream cache holds, not their lengths.
 func (s *PhaseStream) bytes() int64 {
-	return int64(len(s.Off))*4 + int64(len(s.Gaps))*4 +
-		int64(len(s.Pages))*4 + int64(len(s.Blocks))*2 + int64(len(s.Writes))
+	return int64(cap(s.Off))*4 + int64(cap(s.GapM1))*2 + int64(cap(s.Words))*4
 }
 
 // RecordStream builds a phase stream by drawing each core's accesses
 // from next, core by core, until the core's cumulative gap reaches
-// budget. The result has an empty Sig.
+// budget. The result has an empty Sig. Every access must be packable
+// (see PhaseStream); sources reject unpackable values where they enter,
+// so one reaching here is a producer bug and panics.
 func RecordStream(cores int, budget uint64, next func(core int) Access) *PhaseStream {
 	s := &PhaseStream{Off: make([]int32, cores+1)}
 	for core := 0; core < cores; core++ {
-		s.Off[core] = int32(len(s.Gaps))
+		s.Off[core] = int32(len(s.Words))
 		var cum uint64
 		for cum < budget {
 			a := next(core)
+			if a.Gap-1 >= MaxGap || a.Page >= MaxFootprintPages || a.Block >= BlocksPerPage {
+				unpackable(core, a)
+			}
 			cum += uint64(a.Gap)
-			s.Gaps = append(s.Gaps, a.Gap)
-			s.Pages = append(s.Pages, a.Page)
-			s.Blocks = append(s.Blocks, a.Block)
-			s.Writes = append(s.Writes, a.Write)
+			w := a.Page<<WordPageShift | uint32(a.Block)<<1
+			if a.Write {
+				w |= WordWrite
+			}
+			s.GapM1 = append(s.GapM1, uint16(a.Gap-1))
+			s.Words = append(s.Words, w)
 		}
 		if core == 0 && cores > 1 {
 			// Cores draw from the same mixture, so core 0's access count
 			// predicts the total well; pre-growing here avoids repeated
 			// multi-MB reallocation copies as the remaining cores append.
-			want := len(s.Gaps) * cores * 9 / 8
-			s.Gaps = append(make([]uint32, 0, want), s.Gaps...)
-			s.Pages = append(make([]uint32, 0, want), s.Pages...)
-			s.Blocks = append(make([]uint16, 0, want), s.Blocks...)
-			s.Writes = append(make([]bool, 0, want), s.Writes...)
+			want := len(s.Words) * cores * 9 / 8
+			s.GapM1 = append(make([]uint16, 0, want), s.GapM1...)
+			s.Words = append(make([]uint32, 0, want), s.Words...)
 		}
 	}
-	s.Off[cores] = int32(len(s.Gaps))
+	s.Off[cores] = int32(len(s.Words))
 	return s
+}
+
+//starnuma:coldpath only on a producer bug: sources validate what they record
+func unpackable(core int, a Access) {
+	panic(fmt.Sprintf("workload: core %d access %+v does not fit a phase stream", core, a))
 }
 
 // streamKey identifies one cached stream. The sig string folds in the
@@ -109,6 +136,10 @@ type streamKey struct {
 const streamCacheCap = 6 << 30
 
 var streamCache = lru.New[streamKey](streamCacheCap, (*PhaseStream).bytes)
+
+// StreamCache returns the counters of the process-wide phase-stream
+// cache; ResidentBytes is the recorded streams' summed capacity.
+func StreamCache() lru.Stats { return streamCache.Stats() }
 
 // streamSig derives the cache signature for a generator+budget. Spec is
 // a plain value type (its only reference field is the Classes slice of
@@ -167,17 +198,17 @@ func (g *Generator) loadStream(phase int) {
 	copy(g.cursor, s.Off[:len(g.rngs)])
 }
 
-// ReplayArrays exposes the page and write arrays of the stream bound
-// by the last ResetPhase: core c's accesses are pages[off[c]:off[c+1]]
-// with parallel writes flags. It returns ok=false unless a stream is
-// bound and was recorded at exactly the requested budget. Callers must
-// treat the arrays as read-only.
-func (g *Generator) ReplayArrays(budget uint64) (off []int32, pages []uint32, writes []bool, ok bool) {
+// ReplayArrays exposes the packed arrays of the stream bound by the
+// last ResetPhase: core c's accesses are words[off[c]:off[c+1]], with
+// gapM1 parallel to words, in the PhaseStream layout. It returns
+// ok=false unless a stream is bound and was recorded at exactly the
+// requested budget. Callers must treat the arrays as read-only.
+func (g *Generator) ReplayArrays(budget uint64) (off []int32, words []uint32, gapM1 []uint16, ok bool) {
 	s := g.stream
 	if s == nil || g.budget != budget {
 		return nil, nil, nil, false
 	}
-	return s.Off, s.Pages, s.Writes, true
+	return s.Off, s.Words, s.GapM1, true
 }
 
 //starnuma:coldpath only on replay overrun, which is a consumer bug

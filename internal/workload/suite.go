@@ -144,13 +144,20 @@ func Suite(scale float64) []Spec {
 	return specs
 }
 
-// ByName returns the named workload at the given footprint scale.
+// ByName returns the named workload at the given footprint scale. It
+// returns an error when the scaled spec is invalid, such as a scale so
+// large the footprint exceeds MaxFootprintPages.
 func ByName(name string, scale float64) (Spec, error) {
 	if scale <= 0 {
 		return Spec{}, fmt.Errorf("workload: non-positive scale %v", scale)
 	}
 	for _, s := range Suite(scale) {
 		if s.Name == name {
+			// Suite specs are authored for 16 sockets, as NewGenerator
+			// validates them.
+			if err := s.Validate(16); err != nil {
+				return Spec{}, err
+			}
 			return s, nil
 		}
 	}

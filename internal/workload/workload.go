@@ -36,6 +36,12 @@ const PageBytes = 4096
 // BlocksPerPage is the number of 64-byte blocks in a page.
 const BlocksPerPage = PageBytes / 64
 
+// MaxFootprintPages bounds a workload's footprint: recorded phase
+// streams keep a page number in the top 25 bits of a 32-bit word (see
+// PhaseStream). It holds the largest suite footprint up to a footprint
+// scale of about 680.
+const MaxFootprintPages = 1 << 25
+
 // Access is one LLC-missing memory reference of a core.
 type Access struct {
 	Gap   uint32 // instructions retired since this core's previous miss
@@ -96,6 +102,10 @@ func (s Spec) Validate(sockets int) error {
 	}
 	if s.SingleSocketIPC <= 0 || s.MPKI <= 0 || s.MLP <= 0 || s.FootprintPages <= 0 {
 		return fmt.Errorf("workload %s: non-positive scalar parameter", s.Name)
+	}
+	if s.FootprintPages > MaxFootprintPages {
+		return fmt.Errorf("workload %s: footprint of %d pages exceeds the %d-page limit",
+			s.Name, s.FootprintPages, MaxFootprintPages)
 	}
 	if len(s.Classes) == 0 {
 		return fmt.Errorf("workload %s: no page classes", s.Name)
