@@ -186,6 +186,16 @@ func (c SystemConfig) Validate() error {
 	return nil
 }
 
+// CheckFaults checks a fault plan against this system's hardware: on a
+// pooled system every killed pool channel must exist. A pool-less system
+// ignores pool events, so it accepts any valid plan.
+func (c SystemConfig) CheckFaults(p *fault.Plan) error {
+	if !c.Topology.HasPool {
+		return nil
+	}
+	return p.CheckChannels(c.Pool.Channels)
+}
+
 // CyclePS returns the core clock period in picoseconds.
 func (c SystemConfig) CyclePS() float64 { return 1000 / c.ClockGHz }
 

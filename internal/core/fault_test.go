@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"starnuma/internal/fault"
@@ -124,5 +125,32 @@ func TestDeadChannelShrinksPool(t *testing.T) {
 	}
 	if res.IPC <= 0 {
 		t.Errorf("degraded run produced IPC %v", res.IPC)
+	}
+}
+
+// TestNewPlanRejectsMissingPoolChannel pins where system and plan meet:
+// a kill of a pool channel the pooled system does not have is an error
+// naming the event and the channel count, not a silent fault-free run,
+// while a pool-less system keeps ignoring pool events.
+func TestNewPlanRejectsMissingPoolChannel(t *testing.T) {
+	cfg := faultSim()
+	cfg.Faults = fault.DeadChannelPlan(5)
+	spec := tinySpec(t, "BFS")
+	_, err := Run(StarNUMASystem(), cfg, spec)
+	if err == nil {
+		t.Fatal("kill of pool:ch5 on a 2-channel pool was accepted")
+	}
+	for _, want := range []string{"event 0", `"pool:ch5"`, "2 channels"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	wide := StarNUMASystem()
+	wide.Pool.Channels = 6
+	if err := wide.CheckFaults(cfg.Faults); err != nil {
+		t.Errorf("6-channel pool rejected a kill of ch5: %v", err)
+	}
+	if _, err := Run(BaselineSystem(), cfg, spec); err != nil {
+		t.Errorf("pool-less system must ignore pool events: %v", err)
 	}
 }

@@ -36,6 +36,9 @@ func NewPlan(sys SystemConfig, cfg SimConfig, gen AccessSource) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := sys.CheckFaults(cfg.Faults); err != nil {
+		return nil, err
+	}
 	topo := topology.New(sys.Topology)
 	if want := topo.Sockets() * sys.CoresPerSocket; gen.NumCores() != want {
 		return nil, fmt.Errorf("core: source has %d cores, system needs %d", gen.NumCores(), want)

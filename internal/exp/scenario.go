@@ -5,7 +5,6 @@ import (
 
 	"starnuma/internal/core"
 	"starnuma/internal/scenario"
-	"starnuma/internal/workload"
 )
 
 // RunScenario executes one compiled scenario through the runner and
@@ -19,43 +18,31 @@ import (
 // across reruns and worker counts.
 func (r *Runner) RunScenario(c *scenario.Compiled) (*scenario.Verdict, error) {
 	tag := "scenario/" + c.Name() + "@" + shortHash(c.Hash)
-	main := variant{tag, c.Sys, c.Cfg}
-	ref := variant{tag + "/ref", c.Sys, c.RefCfg}
-	base := variant{tag + "/base", c.BaseSys, c.BaseCfg}
-
-	var cells []cell
-	add := func(v variant, specs []workload.Spec) {
-		for _, spec := range specs {
-			cells = append(cells, cell{v, spec})
-		}
-	}
-	// The scenario run proper drifts while its references do not, so
-	// the main cells and the reference cells run different spec lists.
-	add(main, c.Specs)
+	vs := []variant{{tag, c.Sys, c.Cfg}}
 	if c.NeedsRef {
-		add(ref, c.RefSpecs)
+		vs = append(vs, variant{tag + "/ref", c.Sys, c.RefCfg})
 	}
 	if c.NeedsBase {
-		add(base, c.RefSpecs)
+		vs = append(vs, variant{tag + "/base", c.BaseSys, c.BaseCfg})
 	}
-	res, err := r.results(cells)
+	g, err := r.grid(c.Specs, vs...)
 	if err != nil {
 		return nil, fmt.Errorf("exp: scenario %s: %w", c.Name(), err)
 	}
-	// take maps the next len(specs) results by workload name.
-	take := func(specs []workload.Spec) map[string]*core.Result {
-		out := make(map[string]*core.Result, len(specs))
-		for _, spec := range specs {
-			out[spec.Name], res = res[0], res[1:]
+	byName := func(row []*core.Result) map[string]*core.Result {
+		out := make(map[string]*core.Result, len(c.Specs))
+		for i, spec := range c.Specs {
+			out[spec.Name] = row[i]
 		}
 		return out
 	}
-	rs := scenario.RunSet{Results: take(c.Specs)}
+	// The variants run in order main, ref, base; base is last when present.
+	rs := scenario.RunSet{Results: byName(g[0])}
 	if c.NeedsRef {
-		rs.Ref = take(c.RefSpecs)
+		rs.Ref = byName(g[1])
 	}
 	if c.NeedsBase {
-		rs.Base = take(c.RefSpecs)
+		rs.Base = byName(g[len(g)-1])
 	}
 	return c.Evaluate(rs)
 }

@@ -2,13 +2,16 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"starnuma/internal/core"
+	"starnuma/internal/fault"
 	"starnuma/internal/scenario"
 )
 
@@ -64,16 +67,83 @@ func TestEveryScenarioValidates(t *testing.T) {
 	}
 }
 
+// TestScenarioEventsAreFaultPlans pins the single fault grammar: every
+// corpus file's events array, wrapped as a -faults plan file under the
+// scenario's name, parses to exactly the plan the scenario compiles
+// into.
+func TestScenarioEventsAreFaultPlans(t *testing.T) {
+	for _, file := range corpusFiles(t) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		c, err := scenario.Compile(s)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		var raw struct {
+			Name   string          `json:"name"`
+			Events json.RawMessage `json:"events"`
+		}
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if raw.Events == nil {
+			if c.Cfg.Faults != nil {
+				t.Errorf("%s: no events, but compiled plan %+v", file, c.Cfg.Faults)
+			}
+			continue
+		}
+		name, _ := json.Marshal(raw.Name)
+		plan, err := fault.ParsePlan([]byte(`{"name": ` + string(name) + `, "events": ` + string(raw.Events) + `}`))
+		if err != nil {
+			t.Fatalf("%s: events are not a fault plan: %v", file, err)
+		}
+		if !reflect.DeepEqual(plan, c.Cfg.Faults) {
+			t.Errorf("%s: plan file parses to %+v, scenario compiles to %+v", file, plan, c.Cfg.Faults)
+		}
+	}
+}
+
+// TestScenarioReferencesShareDrift pins that the references run the
+// scenario's own specs: drift is part of the placement, so a drifting
+// scenario without events equals its no-events reference exactly.
+func TestScenarioReferencesShareDrift(t *testing.T) {
+	s, err := scenario.Parse([]byte(`{
+		"schema": "starnuma-scenario-v2", "name": "drift-ref",
+		"sim": {"preset": "quick", "phases": 2, "scale": 0.02},
+		"workloads": [{"name": "TPCC", "seed": 11, "drift_frac": 0.5, "drift_period": 1}],
+		"assertions": [{"kind": "speedup", "vs": "no-events", "op": "==", "value": 1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := scenario.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewRunner(Options{Jobs: 1}).RunScenario(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Pass {
+		t.Fatalf("drifting run and its no-events reference differ: %+v", v.Workloads)
+	}
+}
+
 // scnDeterminismDoc is a deliberately tiny scenario (one workload, two
 // phases, every reference) so the worker-count pin stays cheap.
 const scnDeterminismDoc = `{
-	"schema": "starnuma-scenario-v1",
+	"schema": "starnuma-scenario-v2",
 	"name": "determinism-pin",
 	"sim": {"preset": "quick", "phases": 2, "scale": 0.02},
 	"workloads": [{"name": "TPCC", "seed": 11}],
 	"events": [
-		{"action": "degrade-link", "target": "cxl", "at_phase": 1, "latency_x": 2},
-		{"action": "pool-capacity", "at_phase": 1, "capacity_frac": 0.5}
+		{"kind": "degrade", "target": "cxl", "from_phase": 1, "latency_x": 2},
+		{"kind": "capacity", "target": "pool", "from_phase": 1, "capacity_frac": 0.5}
 	],
 	"assertions": [
 		{"kind": "ipc", "op": ">", "value": 0},

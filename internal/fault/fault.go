@@ -296,3 +296,23 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
+
+// CheckChannels reports the first kill event that names a DDR channel a
+// pool of the given channel count does not have. Validate cannot know
+// the channel count; the caller that pairs a plan with a pooled system
+// does, and a kill of a missing channel would otherwise fail nothing.
+func (p *Plan) CheckChannels(channels int) error {
+	if p == nil {
+		return nil
+	}
+	for i, e := range p.Events {
+		if e.Kind != Kill {
+			continue
+		}
+		_, sub := splitTarget(e.Target)
+		if ch, err := killChannel(sub); err == nil && ch >= channels {
+			return fmt.Errorf("fault: event %d: kill target %q names channel %d, but the pool has %d channels", i, e.Target, ch, channels)
+		}
+	}
+	return nil
+}

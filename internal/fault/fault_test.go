@@ -199,3 +199,16 @@ func TestCannedPlansValidate(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckChannels(t *testing.T) {
+	var nilPlan *Plan
+	for _, p := range []*Plan{nilPlan, FlapPlan(), DeadPoolPlan(), DeadChannelPlan(0), DeadChannelPlan(1)} {
+		if err := p.CheckChannels(2); err != nil {
+			t.Errorf("%v: %v", p, err)
+		}
+	}
+	err := DeadChannelPlan(2).CheckChannels(2)
+	if err == nil || !strings.Contains(err.Error(), "event 0") || !strings.Contains(err.Error(), "2 channels") {
+		t.Errorf("kill of ch2 on a 2-channel pool: err = %v", err)
+	}
+}

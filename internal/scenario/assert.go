@@ -15,9 +15,9 @@ import (
 type RunSet struct {
 	// Results is the scenario run proper (Sys/Cfg/Specs).
 	Results map[string]*core.Result
-	// Ref is the no-events reference (RefCfg/RefSpecs).
+	// Ref is the no-events reference (Sys/RefCfg/Specs).
 	Ref map[string]*core.Result
-	// Base is the pool-less perfect baseline (BaseSys/BaseCfg/RefSpecs).
+	// Base is the pool-less perfect baseline (BaseSys/BaseCfg/Specs).
 	Base map[string]*core.Result
 }
 

@@ -10,10 +10,10 @@ import (
 )
 
 const assertDoc = `{
-	"schema": "starnuma-scenario-v1", "name": "assert-test",
+	"schema": "starnuma-scenario-v2", "name": "assert-test",
 	"sim": {"phases": 3},
 	"workloads": [{"name": "BFS"}, {"name": "TPCC"}],
-	"events": [{"action": "pool-capacity", "at_phase": 1, "capacity_frac": 0.5}],
+	"events": [{"kind": "capacity", "target": "pool", "from_phase": 1, "capacity_frac": 0.5}],
 	"assertions": [
 		{"kind": "ipc", "op": ">", "value": 0.1},
 		{"kind": "mpki", "workload": "BFS", "op": "<", "value": 50},
@@ -204,7 +204,7 @@ func TestLookupMetricOrder(t *testing.T) {
 func TestDrainCapacityReflectsSqueeze(t *testing.T) {
 	squeezed := mustCompile(t, assertDoc)
 	calm := mustCompile(t, `{
-		"schema": "starnuma-scenario-v1", "name": "calm",
+		"schema": "starnuma-scenario-v2", "name": "calm",
 		"sim": {"phases": 3},
 		"workloads": [{"name": "BFS"}, {"name": "TPCC"}],
 		"assertions": [{"kind": "drain_complete", "workload": "BFS"}]}`)

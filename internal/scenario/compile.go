@@ -13,12 +13,12 @@ import (
 )
 
 // Compiled is a scenario lowered onto the existing simulation machinery:
-// system and methodology configurations (with the event script's
-// fault-bound events compiled into Cfg.Faults), the placed workload
-// specs (with workload shifts applied), and the reference configurations
-// speedup assertions compare against. All of it is plain config data —
-// the runner's content-addressed cache keys on it, so scenario runs ride
-// the cache like every other experiment.
+// system and methodology configurations (with the events as Cfg.Faults),
+// the placed workload specs, and the reference configurations speedup
+// assertions compare against. The references run the same specs, so
+// each differs from the scenario run only in its configurations. All of
+// it is plain config data — the runner's content-addressed cache keys on
+// it, so scenario runs ride the cache like every other experiment.
 type Compiled struct {
 	// Scenario is the validated source document.
 	Scenario *Scenario
@@ -30,15 +30,13 @@ type Compiled struct {
 	Cfg   core.SimConfig
 	Specs []workload.Spec
 
-	// RefCfg/RefSpecs is the "no-events" reference: the same scenario
-	// with the event script removed (no fault plan, no workload shifts).
-	// Only meaningful when NeedsRef.
+	// RefCfg is the "no-events" reference: Cfg without the fault plan,
+	// run on Sys over Specs. Only meaningful when NeedsRef.
 	RefCfg   core.SimConfig
-	RefSpecs []workload.Spec
 	NeedsRef bool
 
 	// BaseSys/BaseCfg is the paper's pool-less perfect baseline for
-	// "vs baseline" speedups, run over RefSpecs. Only meaningful when
+	// "vs baseline" speedups, run over Specs. Only meaningful when
 	// NeedsBase.
 	BaseSys   core.SystemConfig
 	BaseCfg   core.SimConfig
@@ -71,6 +69,9 @@ func Compile(s *Scenario) (*Compiled, error) {
 	}
 	if err := c.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: sim: %w", err)
+	}
+	if err := c.Sys.CheckFaults(c.Cfg.Faults); err != nil {
+		return nil, fmt.Errorf("scenario: events: %w", err)
 	}
 	// Specs are authored for 16 sockets; smaller systems clamp sharer
 	// sets at generation time (workload.NewGenerator), so validate
@@ -130,11 +131,12 @@ func (c *Compiled) compileSystem() error {
 		sys.Topology.CXLOneWay = sys.Pool.Latency.OneWay()
 	}
 	// The paper baseline for "vs baseline" speedups shares the
-	// scenario's topology shape but has no pool.
+	// scenario's topology shape but has no pool. A single-socket
+	// scenario compares against the paper's full baseline machine.
 	c.BaseSys = core.BaselineSystem()
-	c.BaseSys.Topology.SocketsPerChassis = sys.Topology.SocketsPerChassis
 	if s.System.Base != BaseSingleSocket {
 		c.BaseSys.Topology.Sockets = sys.Topology.Sockets
+		c.BaseSys.Topology.SocketsPerChassis = sys.Topology.SocketsPerChassis
 	}
 	return nil
 }
@@ -220,19 +222,7 @@ func (c *Compiled) compileWorkloads() error {
 		if w.Seed != 0 {
 			spec.Seed = w.Seed
 		}
-		c.RefSpecs = append(c.RefSpecs, spec)
-		// Workload shifts are part of the event script, so they apply to
-		// the scenario run but not the no-events reference.
-		for _, e := range s.Events {
-			if e.Action != ActionWorkloadShift {
-				continue
-			}
-			if e.Workload != "" && e.Workload != w.Name {
-				continue
-			}
-			spec.DriftFrac = e.ShiftFrac
-			spec.DriftPeriod = e.PeriodPhases
-		}
+		spec.DriftFrac, spec.DriftPeriod = w.DriftFrac, w.DriftPeriod
 		c.Specs = append(c.Specs, spec)
 	}
 	return nil

@@ -1,7 +1,11 @@
 package scenario
 
 import (
+	"reflect"
+	"strings"
 	"testing"
+
+	"starnuma/internal/core"
 )
 
 func mustParse(t *testing.T, doc string) *Scenario {
@@ -36,24 +40,24 @@ func TestCompileFull(t *testing.T) {
 		t.Errorf("phases = %d", c.Cfg.Phases)
 	}
 
-	// The event script became a fault plan on the scenario run only; the
-	// workload shift stayed out of it.
-	if c.Cfg.Faults == nil || len(c.Cfg.Faults.Events) != 3 {
+	// The events became the scenario run's fault plan, and the no-events
+	// reference is the scenario run's configuration without it.
+	if c.Cfg.Faults == nil || len(c.Cfg.Faults.Events) != 3 || c.Cfg.Faults.Name != "test-full" {
 		t.Fatalf("fault plan = %+v", c.Cfg.Faults)
 	}
-	if c.RefCfg.Faults != nil {
-		t.Error("no-events reference must have no fault plan")
+	ref := c.Cfg
+	ref.Faults = nil
+	if !reflect.DeepEqual(ref, c.RefCfg) {
+		t.Errorf("no-events reference differs from the run beyond its fault plan:\nrun: %+v\nref: %+v", ref, c.RefCfg)
 	}
 
-	// The BFS shift applies to the scenario specs, not the reference.
-	if len(c.Specs) != 2 || len(c.RefSpecs) != 2 {
-		t.Fatalf("specs = %d/%d", len(c.Specs), len(c.RefSpecs))
+	// BFS's drift is part of its placement, so the references, which
+	// run over the same Specs, drift with it.
+	if len(c.Specs) != 2 {
+		t.Fatalf("specs = %d", len(c.Specs))
 	}
 	if c.Specs[0].Name != "BFS" || c.Specs[0].DriftFrac != 0.3 || c.Specs[0].DriftPeriod != 1 {
-		t.Errorf("BFS shift lost: %+v", c.Specs[0])
-	}
-	if c.RefSpecs[0].DriftFrac != 0 {
-		t.Error("reference spec must not drift")
+		t.Errorf("BFS drift lost: %+v", c.Specs[0])
 	}
 	if c.Specs[1].Name != "TPCC" || c.Specs[1].DriftFrac != 0 {
 		t.Errorf("TPCC should not drift: %+v", c.Specs[1])
@@ -77,7 +81,7 @@ func TestCompileFull(t *testing.T) {
 
 func TestCompileBaselineSpeedupAndMetrics(t *testing.T) {
 	c := mustCompile(t, `{
-		"schema": "starnuma-scenario-v1", "name": "x",
+		"schema": "starnuma-scenario-v2", "name": "x",
 		"workloads": [{"name": "BFS"}],
 		"assertions": [
 			{"kind": "speedup", "vs": "baseline", "op": ">", "value": 1},
@@ -97,9 +101,50 @@ func TestCompileBaselineSpeedupAndMetrics(t *testing.T) {
 	if c.BaseSys.Topology.HasPool {
 		t.Error("baseline system must be pool-less")
 	}
-	if c.BaseSys.Topology.Sockets != c.Sys.Topology.Sockets {
+	if c.BaseSys.Topology.Sockets != c.Sys.Topology.Sockets ||
+		c.BaseSys.Topology.SocketsPerChassis != c.Sys.Topology.SocketsPerChassis {
 		t.Error("baseline topology shape should match the scenario's")
 	}
+}
+
+// TestCompileSingleSocketBaseline pins the "vs baseline" reference of a
+// single-socket scenario to the paper's baseline machine: its sockets
+// and its chassis shape, not 16 sockets in 16 one-socket chassis.
+func TestCompileSingleSocketBaseline(t *testing.T) {
+	c := mustCompile(t, `{
+		"schema": "starnuma-scenario-v2", "name": "x",
+		"system": {"base": "single-socket"},
+		"workloads": [{"name": "BFS"}],
+		"assertions": [{"kind": "speedup", "vs": "baseline", "op": ">", "value": 0}]}`)
+	if c.Sys.Topology.Sockets != 1 {
+		t.Fatalf("scenario sockets = %d", c.Sys.Topology.Sockets)
+	}
+	if want := core.BaselineSystem().Topology; !reflect.DeepEqual(c.BaseSys.Topology, want) {
+		t.Errorf("base topology = %+v, want the paper baseline's %+v", c.BaseSys.Topology, want)
+	}
+}
+
+// TestCompileRejectsMissingPoolChannel pins that a kill of a pool
+// channel the system does not have fails compilation with the fault
+// layer's error, and that a wider pool accepts the same event.
+func TestCompileRejectsMissingPoolChannel(t *testing.T) {
+	doc := func(system string) string {
+		return `{"schema": "starnuma-scenario-v2", "name": "x",
+			"system": ` + system + `,
+			"workloads": [{"name": "BFS"}],
+			"events": [{"kind": "kill", "target": "pool:ch2", "from_phase": 1}],
+			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`
+	}
+	_, err := Compile(mustParse(t, doc(`{"base": "starnuma"}`)))
+	if err == nil {
+		t.Fatal("kill of pool:ch2 on a 2-channel pool compiled")
+	}
+	for _, want := range []string{"scenario: events:", "event 0", "2 channels"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	mustCompile(t, doc(`{"base": "starnuma", "pool_channels": 3}`))
 }
 
 func TestCompileDeterministic(t *testing.T) {
@@ -128,7 +173,7 @@ func TestCompileInvalid(t *testing.T) {
 
 func TestCompileStallFracEnablesAttrib(t *testing.T) {
 	c := mustCompile(t, `{
-		"schema": "starnuma-scenario-v1", "name": "x",
+		"schema": "starnuma-scenario-v2", "name": "x",
 		"workloads": [{"name": "BFS"}],
 		"assertions": [
 			{"kind": "stall_frac", "category": "cxl-queue", "op": ">=", "value": 0.1}
@@ -144,7 +189,7 @@ func TestCompileStallFracEnablesAttrib(t *testing.T) {
 	}
 	// And absent a stall_frac assertion, the ledger stays off.
 	c2 := mustCompile(t, `{
-		"schema": "starnuma-scenario-v1", "name": "x",
+		"schema": "starnuma-scenario-v2", "name": "x",
 		"workloads": [{"name": "BFS"}],
 		"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`)
 	if c2.Cfg.Attrib {

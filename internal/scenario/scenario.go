@@ -1,6 +1,6 @@
 // Package scenario is the declarative experiment layer: one JSON file
-// composes a topology/pool configuration, workload placements, a timed
-// event script and assertions on the outcome, and compiles into the
+// composes a topology/pool configuration, workload placements, fault
+// events and assertions on the outcome, and compiles into the
 // existing core.SimConfig / fault.Plan / workload.Spec machinery. What
 // previously took bespoke Go per experiment — "run StarNUMA under a
 // mid-run capacity squeeze and check the drain completed with bounded
@@ -16,11 +16,12 @@
 //   - sim: the methodology preset (quick or default) plus phase count,
 //     migration policy and tracker overrides;
 //   - workloads: the placements — which suite workloads run, at what
-//     footprint scale, and under which seed;
-//   - events: a timed script on the checkpoint-phase / ps sim clock:
-//     link degradations and flaps (window-relative ps timestamps), pool
-//     channel/device kills, pool-capacity squeezes, and workload phase
-//     shifts (sharing-epoch re-draws);
+//     footprint scale, under which seed, and with how much sharing
+//     drift (workload.Spec's DriftFrac/DriftPeriod);
+//   - events: internal/fault events in the same JSON grammar as a
+//     -faults plan file — link degradations and flaps, pool
+//     channel/device kills and pool-capacity squeezes — which become
+//     the scenario run's fault plan;
 //   - assertions: checks on the outcome — IPC/MPKI/AMAT thresholds,
 //     speedup bounds against a reference run, metric-namespace
 //     thresholds (internal/metrics), fault counters, pool residency and
@@ -40,11 +41,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"starnuma/internal/fault"
 )
 
 // Schema is the scenario document's schema identifier; Parse rejects
 // anything else so format drift fails loudly.
-const Schema = "starnuma-scenario-v1"
+const Schema = "starnuma-scenario-v2"
 
 // Scenario is the root document of one declarative experiment.
 type Scenario struct {
@@ -54,7 +57,7 @@ type Scenario struct {
 	System      SystemSpec    `json:"system"`
 	Sim         SimSpec       `json:"sim"`
 	Workloads   []WorkloadSel `json:"workloads"`
-	Events      []Event       `json:"events,omitempty"`
+	Events      []fault.Event `json:"events,omitempty"`
 	Assertions  []Assertion   `json:"assertions"`
 
 	// lines holds the 1-based source line of each assertion, populated
@@ -116,63 +119,12 @@ type WorkloadSel struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Seed overrides the workload's stream seed (0 keeps the suite's).
 	Seed uint64 `json:"seed,omitempty"`
-}
-
-// Event actions. Link events compile into internal/fault events with
-// their ps-clock fields converted to the fault plan's window-relative
-// nanoseconds; workload shifts compile into workload.Spec drift.
-const (
-	// ActionDegradeLink scales a link class's latency (latency_x) and
-	// divides its bandwidth (bandwidth_div) from at_phase/at_ps.
-	ActionDegradeLink = "degrade-link"
-	// ActionFlapLink takes a link class down for the first down_ps of
-	// every period_ps, charging retry_ps to delayed sends.
-	ActionFlapLink = "flap-link"
-	// ActionKill permanently fails a pool channel ("pool:chN") or the
-	// whole MHD ("pool") from at_phase.
-	ActionKill = "kill"
-	// ActionPoolCapacity squeezes the pool to capacity_frac of nominal
-	// from at_phase (until until_phase when set).
-	ActionPoolCapacity = "pool-capacity"
-	// ActionWorkloadShift makes sharing non-stationary: shift_frac of
-	// each matching workload's regions re-draw their sharer sets every
-	// period_phases (a hot working set arriving at new sockets).
-	ActionWorkloadShift = "workload-shift"
-)
-
-// Event is one entry of the timed script. Phases index step-B
-// checkpoints; at_ps/until_ps scope link events within each affected
-// timing window on the picosecond sim clock.
-type Event struct {
-	Action string `json:"action"`
-	// Target names the faulted component for link/kill actions (fault
-	// plan syntax: "cxl", "upi", "numalink", "link", "cxl:s3",
-	// "pool", "pool:ch0").
-	Target string `json:"target,omitempty"`
-	// AtPhase..UntilPhase scope the event to checkpoint phases
-	// (until_phase 0 = open-ended).
-	AtPhase    int `json:"at_phase,omitempty"`
-	UntilPhase int `json:"until_phase,omitempty"`
-	// AtPS..UntilPS further scope link events within each affected
-	// timing window, in window-relative picoseconds (until_ps 0 = until
-	// the window ends).
-	AtPS    int64 `json:"at_ps,omitempty"`
-	UntilPS int64 `json:"until_ps,omitempty"`
-	// degrade-link knobs.
-	LatencyX     float64 `json:"latency_x,omitempty"`
-	BandwidthDiv float64 `json:"bandwidth_div,omitempty"`
-	// flap-link knobs, on the ps clock.
-	PeriodPS int64 `json:"period_ps,omitempty"`
-	DownPS   int64 `json:"down_ps,omitempty"`
-	RetryPS  int64 `json:"retry_ps,omitempty"`
-	// pool-capacity knob.
-	CapacityFrac float64 `json:"capacity_frac,omitempty"`
-	// workload-shift knobs: Workload restricts the shift to one
-	// placement (empty = all), ShiftFrac is the fraction of regions
-	// re-drawing sharers, every PeriodPhases phases.
-	Workload     string  `json:"workload,omitempty"`
-	ShiftFrac    float64 `json:"shift_frac,omitempty"`
-	PeriodPhases int     `json:"period_phases,omitempty"`
+	// DriftFrac/DriftPeriod make sharing non-stationary: this fraction
+	// of the workload's regions re-draws its sharer set every
+	// DriftPeriod phases (workload.Spec's fields of the same names).
+	// Drift is part of the placement, so the references drift too.
+	DriftFrac   float64 `json:"drift_frac,omitempty"`
+	DriftPeriod int     `json:"drift_period,omitempty"`
 }
 
 // Assertion kinds.
@@ -251,6 +203,12 @@ func Parse(data []byte) (*Scenario, error) {
 	dec.DisallowUnknownFields()
 	s := &Scenario{}
 	if err := dec.Decode(s); err != nil {
+		// Decode reads a well-formed document to its end past unknown
+		// fields, so one in another schema version fails on its schema,
+		// not on the first field whose spelling changed.
+		if s.Schema != "" && s.Schema != Schema {
+			return nil, fieldErr("schema", "got %q, want %q", s.Schema, Schema)
+		}
 		return nil, fmt.Errorf("scenario: parse: %w", err)
 	}
 	if dec.More() {

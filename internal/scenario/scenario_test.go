@@ -7,7 +7,7 @@ import (
 
 // validDoc is a full-featured scenario exercising every section.
 const validDoc = `{
-  "schema": "starnuma-scenario-v1",
+  "schema": "starnuma-scenario-v2",
   "name": "test-full",
   "description": "exercises every section",
   "system": {
@@ -19,15 +19,14 @@ const validDoc = `{
   },
   "sim": {"preset": "quick", "phases": 3, "scale": 0.05},
   "workloads": [
-    {"name": "BFS"},
+    {"name": "BFS", "drift_frac": 0.3, "drift_period": 1},
     {"name": "TPCC", "scale": 0.04, "seed": 7}
   ],
   "events": [
-    {"action": "degrade-link", "target": "cxl", "at_phase": 1, "latency_x": 2},
-    {"action": "flap-link", "target": "upi", "at_phase": 1, "until_phase": 2,
-     "period_ps": 1000000, "down_ps": 100000, "retry_ps": 50000},
-    {"action": "pool-capacity", "at_phase": 1, "capacity_frac": 0.5},
-    {"action": "workload-shift", "workload": "BFS", "shift_frac": 0.3, "period_phases": 1}
+    {"kind": "degrade", "target": "cxl", "from_phase": 1, "latency_x": 2},
+    {"kind": "flap", "target": "upi", "from_phase": 1, "to_phase": 2,
+     "period_ns": 1000, "down_ns": 100, "retry_ns": 50},
+    {"kind": "capacity", "target": "pool", "from_phase": 1, "capacity_frac": 0.5}
   ],
   "assertions": [
     {"kind": "ipc", "op": ">", "value": 0.01},
@@ -43,7 +42,7 @@ func TestParseValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if s.Name != "test-full" || len(s.Workloads) != 2 || len(s.Events) != 4 || len(s.Assertions) != 4 {
+	if s.Name != "test-full" || len(s.Workloads) != 2 || len(s.Events) != 3 || len(s.Assertions) != 4 {
 		t.Fatalf("parsed shape wrong: %+v", s)
 	}
 }
@@ -58,79 +57,86 @@ func TestParseRejects(t *testing.T) {
 		{"not json", `nonsense`, "parse"},
 		{"wrong schema", `{"schema": "v0", "name": "x", "workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "schema"},
-		{"unknown field", `{"schema": "starnuma-scenario-v1", "name": "x", "typo_field": 1,
+		{"unknown field", `{"schema": "starnuma-scenario-v2", "name": "x", "typo_field": 1,
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "typo_field"},
 		{"trailing data", validDoc + `{"more": true}`, "trailing data"},
-		{"no name", `{"schema": "starnuma-scenario-v1", "workloads": [{"name": "BFS"}],
+		{"no name", `{"schema": "starnuma-scenario-v2", "workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "name"},
-		{"bad base", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"bad base", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"system": {"base": "quantum"}, "workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "system.base"},
-		{"pool override on baseline", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"pool override on baseline", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"system": {"base": "baseline", "pool_channels": 4}, "workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "system.pool_channels"},
-		{"no workloads", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"no workloads", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "workloads"},
-		{"unknown workload", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"unknown workload", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "NOPE"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "workloads[0].name"},
-		{"duplicate workload", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"duplicate workload", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}, {"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "workloads[1].name"},
-		{"bad action", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"v1 document", `{"schema": "starnuma-scenario-v1", "name": "x",
 			"workloads": [{"name": "BFS"}],
-			"events": [{"action": "explode"}],
-			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "events[0].action"},
-		{"flap without period", `{"schema": "starnuma-scenario-v1", "name": "x",
+			"events": [{"action": "degrade-link", "target": "cxl", "at_phase": 1, "latency_x": 2}],
+			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "scenario: schema:"},
+		{"drift out of range", `{"schema": "starnuma-scenario-v2", "name": "x",
+			"workloads": [{"name": "BFS", "drift_frac": 1.5}],
+			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "workloads[0].drift_frac"},
+		{"bad action", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
-			"events": [{"action": "flap-link", "target": "cxl"}],
-			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "events[0].period_ps"},
-		{"capacity out of range", `{"schema": "starnuma-scenario-v1", "name": "x",
+			"events": [{"kind": "explode"}],
+			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, `events: fault: event 0: unknown kind "explode"`},
+		{"flap without period", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
-			"events": [{"action": "pool-capacity", "capacity_frac": 1.5}],
-			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "events[0].capacity_frac"},
-		{"kill on pool-less base", `{"schema": "starnuma-scenario-v1", "name": "x",
+			"events": [{"kind": "flap", "target": "cxl"}],
+			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "period_ns"},
+		{"capacity out of range", `{"schema": "starnuma-scenario-v2", "name": "x",
+			"workloads": [{"name": "BFS"}],
+			"events": [{"kind": "capacity", "target": "pool", "capacity_frac": 1.5}],
+			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "capacity_frac"},
+		{"kill on pool-less base", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"system": {"base": "baseline"}, "workloads": [{"name": "BFS"}],
-			"events": [{"action": "kill", "target": "pool"}],
+			"events": [{"kind": "kill", "target": "pool"}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "events[0]"},
-		{"overlapping degrades", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"overlapping degrades", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"events": [
-				{"action": "degrade-link", "target": "cxl", "latency_x": 2},
-				{"action": "degrade-link", "target": "cxl", "latency_x": 3}],
+				{"kind": "degrade", "target": "cxl", "latency_x": 2},
+				{"kind": "degrade", "target": "cxl", "latency_x": 3}],
 			"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`, "overlap"},
-		{"no assertions", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"no assertions", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}]}`, "assertions"},
-		{"bad op", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"bad op", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "op": "~", "value": 0}]}`, "assertions[0].op"},
-		{"bad kind", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"bad kind", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "vibes", "op": ">", "value": 0}]}`, "assertions[0].kind"},
-		{"metric without name", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"metric without name", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "metric", "op": ">", "value": 0}]}`, "assertions[0].metric"},
-		{"counter on wrong kind", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"counter on wrong kind", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "counter": "drained_pages", "op": ">", "value": 0}]}`,
 			"assertions[0].counter"},
-		{"assertion names unplaced workload", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"assertion names unplaced workload", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "workload": "TPCC", "op": ">", "value": 0}]}`,
 			"assertions[0].workload"},
-		{"drain_complete with op", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"drain_complete with op", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "drain_complete", "op": "<"}]}`, "assertions[0]"},
-		{"stall_frac unknown category", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"stall_frac unknown category", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "stall_frac", "category": "vibes", "op": ">", "value": 0.5}]}`,
 			"assertions[0].category"},
-		{"stall_frac out of range", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"stall_frac out of range", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "stall_frac", "category": "cxl-queue", "op": ">", "value": 1.5}]}`,
 			"assertions[0].value"},
-		{"category on wrong kind", `{"schema": "starnuma-scenario-v1", "name": "x",
+		{"category on wrong kind", `{"schema": "starnuma-scenario-v2", "name": "x",
 			"workloads": [{"name": "BFS"}],
 			"assertions": [{"kind": "ipc", "category": "cxl-queue", "op": ">", "value": 0}]}`,
 			"assertions[0].category"},

@@ -19,7 +19,7 @@ const (
 )
 
 // fieldErr formats a validation error that names the offending field,
-// e.g. "scenario: events[2].period_ps: must be > 0".
+// e.g. "scenario: workloads[1].scale: negative scale -1".
 func fieldErr(field, format string, args ...any) error {
 	return fmt.Errorf("scenario: %s: %s", field, fmt.Sprintf(format, args...))
 }
@@ -46,8 +46,8 @@ var faultCounters = []string{"degraded_sends", "flap_retries", "drained_pages"}
 
 // Validate reports the first semantic error in the scenario, naming the
 // offending field. It checks everything that does not require running a
-// simulation: section enums, event-script ranges and conflicts (via the
-// compiled fault plan), workload names, and assertion shapes.
+// simulation: section enums, workload names, the events (as a fault
+// plan), and assertion shapes.
 func (s *Scenario) Validate() error {
 	if s.Schema != Schema {
 		return fieldErr("schema", "got %q, want %q", s.Schema, Schema)
@@ -168,6 +168,12 @@ func (s *Scenario) validateWorkloads() error {
 		if w.Scale < 0 {
 			return fieldErr(field+".scale", "negative scale %v", w.Scale)
 		}
+		if w.DriftFrac < 0 || w.DriftFrac > 1 {
+			return fieldErr(field+".drift_frac", "%v out of [0, 1]", w.DriftFrac)
+		}
+		if w.DriftPeriod < 0 {
+			return fieldErr(field+".drift_period", "negative period %d", w.DriftPeriod)
+		}
 	}
 	return nil
 }
@@ -187,94 +193,16 @@ func (s *Scenario) hasPool() bool {
 	return s.System.Base == "" || s.System.Base == BaseStarNUMA
 }
 
+// validateEvents checks what the fault package cannot know — that pool
+// events have a pool to act on — and then the events as a fault plan.
 func (s *Scenario) validateEvents() error {
 	for i, e := range s.Events {
-		field := fmt.Sprintf("events[%d]", i)
-		if e.AtPhase < 0 {
-			return fieldErr(field+".at_phase", "negative phase %d", e.AtPhase)
-		}
-		if e.UntilPhase < 0 {
-			return fieldErr(field+".until_phase", "negative phase %d", e.UntilPhase)
-		}
-		if e.UntilPhase != 0 && e.UntilPhase <= e.AtPhase {
-			return fieldErr(field+".until_phase", "empty phase range [%d, %d)", e.AtPhase, e.UntilPhase)
-		}
-		if e.AtPS < 0 || e.UntilPS < 0 {
-			return fieldErr(field+".at_ps", "negative time range [%dps, %dps)", e.AtPS, e.UntilPS)
-		}
-		if e.UntilPS != 0 && e.UntilPS <= e.AtPS {
-			return fieldErr(field+".until_ps", "empty time range [%dps, %dps)", e.AtPS, e.UntilPS)
-		}
-		switch e.Action {
-		case ActionDegradeLink:
-			if e.Target == "" {
-				return fieldErr(field+".target", "degrade-link needs a link target (cxl, upi, numalink, link)")
-			}
-			if e.LatencyX <= 1 && e.BandwidthDiv <= 1 {
-				return fieldErr(field+".latency_x", "degrade-link with no effect (latency_x and bandwidth_div both ≤ 1)")
-			}
-		case ActionFlapLink:
-			if e.Target == "" {
-				return fieldErr(field+".target", "flap-link needs a link target (cxl, upi, numalink, link)")
-			}
-			if e.PeriodPS <= 0 {
-				return fieldErr(field+".period_ps", "must be > 0")
-			}
-			if e.DownPS <= 0 || e.DownPS >= e.PeriodPS {
-				return fieldErr(field+".down_ps", "%d must be in (0, period_ps=%d)", e.DownPS, e.PeriodPS)
-			}
-			if e.RetryPS < 0 {
-				return fieldErr(field+".retry_ps", "negative retry %d", e.RetryPS)
-			}
-		case ActionKill:
-			if !s.hasPool() {
-				return fieldErr(field, "kill targets the pool, but system.base %q has none", s.System.Base)
-			}
-			if e.Target != "pool" && !strings.HasPrefix(e.Target, "pool:") {
-				return fieldErr(field+".target", "kill needs \"pool\" or \"pool:chN\", got %q", e.Target)
-			}
-			if e.UntilPhase != 0 || e.AtPS != 0 || e.UntilPS != 0 {
-				return fieldErr(field, "kill is permanent: until_phase/at_ps/until_ps must be unset")
-			}
-		case ActionPoolCapacity:
-			if !s.hasPool() {
-				return fieldErr(field, "pool-capacity targets the pool, but system.base %q has none", s.System.Base)
-			}
-			if e.Target != "" && e.Target != "pool" {
-				return fieldErr(field+".target", "pool-capacity applies to \"pool\", got %q", e.Target)
-			}
-			if e.CapacityFrac <= 0 || e.CapacityFrac >= 1 {
-				return fieldErr(field+".capacity_frac", "%v must be in (0, 1)", e.CapacityFrac)
-			}
-			if e.AtPS != 0 || e.UntilPS != 0 {
-				return fieldErr(field, "pool-capacity is phase-granular: at_ps/until_ps must be unset")
-			}
-		case ActionWorkloadShift:
-			if e.ShiftFrac <= 0 || e.ShiftFrac > 1 {
-				return fieldErr(field+".shift_frac", "%v must be in (0, 1]", e.ShiftFrac)
-			}
-			if e.PeriodPhases < 1 {
-				return fieldErr(field+".period_phases", "must be ≥ 1")
-			}
-			if e.AtPhase != 0 || e.UntilPhase != 0 || e.AtPS != 0 || e.UntilPS != 0 {
-				return fieldErr(field, "workload-shift recurs every period_phases from the start: at_phase/until_phase/at_ps/until_ps must be unset")
-			}
-			if e.Workload != "" && !s.placed(e.Workload) {
-				return fieldErr(field+".workload", "%q is not one of the scenario's placements", e.Workload)
-			}
-		case "":
-			return fieldErr(field+".action", "must be set")
-		default:
-			return fieldErr(field+".action", "unknown action %q", e.Action)
+		if (e.Kind == fault.Kill || e.Kind == fault.Capacity) && !s.hasPool() {
+			return fieldErr(fmt.Sprintf("events[%d]", i), "%s targets the pool, but system.base %q has none", e.Kind, s.System.Base)
 		}
 	}
-	// The link/pool events must also form a consistent fault plan
-	// (fault.Plan.Validate rejects same-kind overlaps on intersecting
-	// targets/phases/times).
-	if plan := s.faultPlan(); plan != nil {
-		if err := plan.Validate(); err != nil {
-			return fmt.Errorf("scenario: events: %w", err)
-		}
+	if err := s.faultPlan().Validate(); err != nil {
+		return fmt.Errorf("scenario: events: %w", err)
 	}
 	return nil
 }
@@ -363,47 +291,11 @@ func (s *Scenario) validateAssertions() error {
 	return nil
 }
 
-// faultPlan builds the fault plan the event script compiles into: every
-// event except workload shifts, in script order. Returns nil when the
-// script has no fault-bound events.
+// faultPlan returns the events as the fault plan the scenario run
+// carries, or nil when there are none.
 func (s *Scenario) faultPlan() *fault.Plan {
-	var events []fault.Event
-	for _, e := range s.Events {
-		switch e.Action {
-		case ActionDegradeLink:
-			events = append(events, fault.Event{
-				Kind: fault.Degrade, Target: e.Target,
-				FromPhase: e.AtPhase, ToPhase: e.UntilPhase,
-				FromNS: psToNS(e.AtPS), ToNS: psToNS(e.UntilPS),
-				LatencyX: e.LatencyX, BandwidthDiv: e.BandwidthDiv,
-			})
-		case ActionFlapLink:
-			events = append(events, fault.Event{
-				Kind: fault.Flap, Target: e.Target,
-				FromPhase: e.AtPhase, ToPhase: e.UntilPhase,
-				FromNS: psToNS(e.AtPS), ToNS: psToNS(e.UntilPS),
-				PeriodNS: psToNS(e.PeriodPS), DownNS: psToNS(e.DownPS), RetryNS: psToNS(e.RetryPS),
-			})
-		case ActionKill:
-			events = append(events, fault.Event{
-				Kind: fault.Kill, Target: e.Target, FromPhase: e.AtPhase,
-			})
-		case ActionPoolCapacity:
-			events = append(events, fault.Event{
-				Kind: fault.Capacity, Target: "pool",
-				FromPhase: e.AtPhase, ToPhase: e.UntilPhase,
-				CapacityFrac: e.CapacityFrac,
-			})
-		}
-	}
-	if len(events) == 0 {
+	if len(s.Events) == 0 {
 		return nil
 	}
-	return &fault.Plan{Name: s.Name, Events: events}
+	return &fault.Plan{Name: s.Name, Events: s.Events}
 }
-
-// psToNS converts a scenario's integer picosecond timestamp to the
-// fault plan's nanosecond float. fault compiles it back with
-// sim.FromNanos, which rounds to the nearest picosecond, so the round
-// trip is exact for any ps value within float64's integer range.
-func psToNS(ps int64) float64 { return float64(ps) / 1000 }
