@@ -33,15 +33,16 @@ type Generator struct {
 	// the current phase epoch (see assignSharers).
 	chunkSharers map[uint32][]int
 
-	// Per-socket class selection: cumulative access weights over the
-	// classes with at least one page for that socket.
-	classCum [][]float64
-	classIdx [][]int
+	// bySocket[socket] is what the draw kernel selects classes and
+	// pages from for that socket (see draw.go).
+	bySocket []socketDraw
 
 	rngs []splitmix64 // one stream per core, reseeded in place per phase
 
-	// meanGap caches spec.MeanGap() off the draw path.
+	// meanGap caches spec.MeanGap() off the draw path; gapTab is its
+	// shared gap table, fetched on the first draw (see draw.go).
 	meanGap float64
+	gapTab  *gapTable
 
 	// phase is the current phase; it participates in sharer-set hashing
 	// for drifting chunks (Spec.DriftFrac).
@@ -262,10 +263,10 @@ func (g *Generator) buildClassWeights() {
 		return sum / classPages[ci]
 	}
 
-	g.classCum = make([][]float64, g.sockets)
-	g.classIdx = make([][]int, g.sockets)
+	g.bySocket = make([]socketDraw, g.sockets)
 	for s := 0; s < g.sockets; s++ {
 		var cum float64
+		var picks []classPick
 		for ci, c := range g.spec.Classes {
 			if len(g.pagesFor[ci][s]) == 0 {
 				continue
@@ -275,10 +276,9 @@ func (g *Generator) buildClassWeights() {
 				continue
 			}
 			cum += w
-			g.classCum[s] = append(g.classCum[s], cum)
-			g.classIdx[s] = append(g.classIdx[s], ci)
+			picks = append(picks, classPick{cum: cum, writeFrac: c.WriteFrac, pages: g.pagesFor[ci][s]})
 		}
-		if len(g.classCum[s]) == 0 {
+		if len(picks) == 0 {
 			if g.spec.DriftFrac > 0 {
 				// Drift can transiently strand a socket at tiny
 				// footprints; fall back to the largest class so its
@@ -297,16 +297,17 @@ func (g *Generator) buildClassWeights() {
 						break
 					}
 				}
-				g.classCum[s] = []float64{1}
-				g.classIdx[s] = []int{big}
+				g.bySocket[s] = newSocketDraw([]classPick{{cum: 1,
+					writeFrac: g.spec.Classes[big].WriteFrac, pages: g.pagesFor[big][s]}})
 				continue
 			}
 			panic(fmt.Sprintf("workload %s: socket %d has no accessible pages", g.spec.Name, s))
 		}
 		// Normalize.
-		for i := range g.classCum[s] {
-			g.classCum[s][i] /= cum
+		for i := range picks {
+			picks[i].cum /= cum
 		}
+		g.bySocket[s] = newSocketDraw(picks)
 	}
 }
 
@@ -337,9 +338,9 @@ func (g *Generator) ResetPhase(phase int) {
 const MaxGap = 1 << 16
 
 // Next returns core's next LLC miss: a pure array read when a recorded
-// phase stream is bound (see SetPhaseBudget), a fresh draw otherwise.
-// Both paths yield bit-identical streams — replay is a recording of the
-// very draws generate would make.
+// phase stream is bound (see SetPhaseBudget), a fresh draw of the draw
+// kernel otherwise. Both paths yield bit-identical streams — replay is
+// a recording of the very draws the kernel makes.
 //
 //starnuma:hotpath one call per simulated LLC miss, in both step B and step C
 func (g *Generator) Next(core int) Access {
@@ -351,39 +352,11 @@ func (g *Generator) Next(core int) Access {
 		g.cursor[core] = i + 1
 		return s.At(i)
 	}
-	return g.generate(core)
-}
-
-// generate draws core's next LLC miss from its RNG stream.
-//
-//starnuma:hotpath draw path when no stream is bound, and stream recording
-func (g *Generator) generate(core int) Access {
-	rng := &g.rngs[core]
-	socket := g.SocketOf(core)
-
-	// Exponential inter-miss gap with the spec's mean, at least one
-	// instruction.
-	u := rng.float64v()
-	gap := uint32(-g.meanGap*math.Log(1-u)) + 1
-	if gap > MaxGap {
-		gap = MaxGap
+	if g.gapTab == nil {
+		g.gapTab = gapTableFor(g.meanGap)
 	}
-
-	// Class choice by per-socket cumulative access weight: the first
-	// class whose cumulative weight reaches x (clamped to the last class
-	// for x beyond the normalized sum, as rounding allows). Class lists
-	// are short (≤ ~6), so a linear scan beats binary search.
-	cum := g.classCum[socket]
-	x := rng.float64v()
-	lo := 0
-	for lo < len(cum)-1 && cum[lo] < x {
-		lo++
-	}
-	ci := g.classIdx[socket][lo]
-
-	pages := g.pagesFor[ci][socket]
-	page := pages[rng.intn(len(pages))]
-	block := uint16(rng.intn(BlocksPerPage))
-	write := rng.float64v() < g.spec.Classes[ci].WriteFrac
-	return Access{Gap: gap, Page: page, Block: block, Write: write}
+	var gapM1 [1]uint16
+	var word [1]uint32
+	g.draw(core, gapM1[:], word[:], 0, 1)
+	return unpack(gapM1[0], word[0])
 }

@@ -17,9 +17,10 @@ func (s *splitmix64) next() uint64 {
 }
 
 // float64v returns a uniform value in [0, 1).
-func (s *splitmix64) float64v() float64 {
-	return float64(s.next()>>11) / float64(1<<53)
-}
+func (s *splitmix64) float64v() float64 { return unit(s.next() >> 11) }
+
+// unit maps a 53-bit draw k to the uniform value k/2^53 in [0, 1).
+func unit(k uint64) float64 { return float64(k) / (1 << 53) }
 
 // intn returns a uniform value in [0, n). n must be positive.
 func (s *splitmix64) intn(n int) int {

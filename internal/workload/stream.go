@@ -63,9 +63,20 @@ const (
 )
 
 // At returns the access at flat index i.
-func (s *PhaseStream) At(i int32) Access {
-	w := s.Words[i]
-	return Access{Gap: uint32(s.GapM1[i]) + 1, Page: w >> WordPageShift,
+func (s *PhaseStream) At(i int32) Access { return unpack(s.GapM1[i], s.Words[i]) }
+
+// pack is the PhaseStream encoding of one access.
+func pack(gap, page uint32, block uint16, write bool) (uint16, uint32) {
+	w := page<<WordPageShift | uint32(block)<<1
+	if write {
+		w |= WordWrite
+	}
+	return uint16(gap - 1), w
+}
+
+// unpack decodes one packed access.
+func unpack(gapM1 uint16, w uint32) Access {
+	return Access{Gap: uint32(gapM1) + 1, Page: w >> WordPageShift,
 		Block: uint16(w>>1) & (BlocksPerPage - 1), Write: w&WordWrite != 0}
 }
 
@@ -81,34 +92,84 @@ func (s *PhaseStream) bytes() int64 {
 // (see PhaseStream); sources reject unpackable values where they enter,
 // so one reaching here is a producer bug and panics.
 func RecordStream(cores int, budget uint64, next func(core int) Access) *PhaseStream {
-	s := &PhaseStream{Off: make([]int32, cores+1)}
+	r := newRecorder(cores)
 	for core := 0; core < cores; core++ {
-		s.Off[core] = int32(len(s.Words))
-		var cum uint64
-		for cum < budget {
+		r.startCore(core)
+		for cum := uint64(0); cum < budget; {
 			a := next(core)
 			if a.Gap-1 >= MaxGap || a.Page >= MaxFootprintPages || a.Block >= BlocksPerPage {
 				unpackable(core, a)
 			}
 			cum += uint64(a.Gap)
-			w := a.Page<<WordPageShift | uint32(a.Block)<<1
-			if a.Write {
-				w |= WordWrite
-			}
-			s.GapM1 = append(s.GapM1, uint16(a.Gap-1))
-			s.Words = append(s.Words, w)
+			gapM1, words := r.room()
+			gapM1[0], words[0] = pack(a.Gap, a.Page, a.Block, a.Write)
+			r.n++
 		}
-		if core == 0 && cores > 1 {
-			// Cores draw from the same mixture, so core 0's access count
-			// predicts the total well; pre-growing here avoids repeated
-			// multi-MB reallocation copies as the remaining cores append.
-			want := len(s.Words) * cores * 9 / 8
-			s.GapM1 = append(make([]uint16, 0, want), s.GapM1...)
-			s.Words = append(make([]uint32, 0, want), s.Words...)
-		}
+		r.endCore(core)
 	}
-	s.Off[cores] = int32(len(s.Words))
-	return s
+	return r.finish()
+}
+
+// recorder builds a PhaseStream core by core: RecordStream and the
+// generator's draw kernel both write through it. While recording, both
+// arrays are resliced to their capacity and n counts the accesses
+// written.
+type recorder struct {
+	s     *PhaseStream
+	gapM1 []uint16
+	words []uint32
+	n     int
+}
+
+func newRecorder(cores int) recorder {
+	return recorder{s: &PhaseStream{Off: make([]int32, cores+1)}}
+}
+
+// startCore opens core's run at the current end of the stream.
+func (r *recorder) startCore(core int) { r.s.Off[core] = int32(r.n) }
+
+// room returns the free tails of the two arrays, of equal length and
+// at least one long. An array that is full grows exactly as appending
+// one access to it would.
+func (r *recorder) room() ([]uint16, []uint32) {
+	if r.n == len(r.gapM1) {
+		r.gapM1 = growFull(r.gapM1)
+	}
+	if r.n == len(r.words) {
+		r.words = growFull(r.words)
+	}
+	end := min(len(r.gapM1), len(r.words))
+	return r.gapM1[r.n:end], r.words[r.n:end]
+}
+
+// growFull grows a full slice as appending one element would, and
+// returns it resliced to its new capacity.
+func growFull[T uint16 | uint32](s []T) []T {
+	s = append(s, 0)
+	return s[:cap(s)]
+}
+
+// endCore closes core's run. After core 0 it pre-grows the arrays:
+// cores draw from the same mixture, so core 0's access count predicts
+// the total well, and pre-growing avoids repeated multi-MB reallocation
+// copies as the remaining cores record.
+func (r *recorder) endCore(core int) {
+	cores := len(r.s.Off) - 1
+	if core != 0 || cores < 2 {
+		return
+	}
+	want := r.n * cores * 9 / 8
+	gapM1, words := make([]uint16, want), make([]uint32, want)
+	copy(gapM1, r.gapM1[:r.n])
+	copy(words, r.words[:r.n])
+	r.gapM1, r.words = gapM1, words
+}
+
+// finish closes the stream and returns it.
+func (r *recorder) finish() *PhaseStream {
+	r.s.Off[len(r.s.Off)-1] = int32(r.n)
+	r.s.GapM1, r.s.Words = r.gapM1[:r.n], r.words[:r.n]
+	return r.s
 }
 
 //starnuma:coldpath only on a producer bug: sources validate what they record
@@ -187,7 +248,7 @@ func (g *Generator) loadStream(phase int) {
 	if !ok {
 		// Recording consumes the per-core RNG streams, which is safe
 		// because replay mode never touches them again this phase.
-		s = RecordStream(len(g.rngs), g.budget, g.generate)
+		s = g.record(g.budget)
 		s.Sig = g.sig
 		streamCache.Put(key, s)
 	}
