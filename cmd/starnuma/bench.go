@@ -15,22 +15,25 @@ import (
 // cache-disabled runs (windows_done is 0 on a full cache hit).
 // StreamCacheBytes and PeakRSSMB record what the run held in memory:
 // the phase-stream cache's resident bytes at the end of the run and
-// the process's peak resident set. The gate reads neither.
+// the process's peak resident set. StreamCacheEvictions counts the
+// streams the cache dropped for want of room, each of which costs a
+// re-recording if it is read again. The gate reads none of the three.
 type benchReport struct {
-	Timestamp        string            `json:"timestamp"`
-	Quick            bool              `json:"quick"`
-	Scale            float64           `json:"scale"`
-	Jobs             int               `json:"jobs"`
-	SuiteSeconds     float64           `json:"suite_seconds"`
-	CacheHits        int64             `json:"cache_hits"`
-	CacheMisses      int64             `json:"cache_misses"`
-	WindowsDone      int64             `json:"windows_done"`
-	WindowsPerSec    float64           `json:"windows_per_sec"`
-	WindowMemoHits   int64             `json:"window_memo_hits"`
-	IngestMemoHits   int64             `json:"ingest_memo_hits"`
-	StreamCacheBytes int64             `json:"stream_cache_bytes"`
-	PeakRSSMB        float64           `json:"peak_rss_mb"`
-	Experiments      []benchExperiment `json:"experiments"`
+	Timestamp            string            `json:"timestamp"`
+	Quick                bool              `json:"quick"`
+	Scale                float64           `json:"scale"`
+	Jobs                 int               `json:"jobs"`
+	SuiteSeconds         float64           `json:"suite_seconds"`
+	CacheHits            int64             `json:"cache_hits"`
+	CacheMisses          int64             `json:"cache_misses"`
+	WindowsDone          int64             `json:"windows_done"`
+	WindowsPerSec        float64           `json:"windows_per_sec"`
+	WindowMemoHits       int64             `json:"window_memo_hits"`
+	IngestMemoHits       int64             `json:"ingest_memo_hits"`
+	StreamCacheBytes     int64             `json:"stream_cache_bytes"`
+	StreamCacheEvictions int64             `json:"stream_cache_evictions"`
+	PeakRSSMB            float64           `json:"peak_rss_mb"`
+	Experiments          []benchExperiment `json:"experiments"`
 }
 
 // benchExperiment is one per-experiment timing record. Windows counts

@@ -117,8 +117,9 @@ func TestBaselineWithoutMemoryFieldsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.StreamCacheBytes != 0 || r.PeakRSSMB != 0 {
-		t.Fatalf("absent memory fields read as %d bytes, %v MB", r.StreamCacheBytes, r.PeakRSSMB)
+	if r.StreamCacheBytes != 0 || r.StreamCacheEvictions != 0 || r.PeakRSSMB != 0 {
+		t.Fatalf("absent memory fields read as %d bytes, %d evictions, %v MB",
+			r.StreamCacheBytes, r.StreamCacheEvictions, r.PeakRSSMB)
 	}
 	if got, err := throughput(r); err != nil || got != 5 {
 		t.Fatalf("throughput = %v, %v; want 5", got, err)

@@ -339,7 +339,9 @@ func runExperiments(w io.Writer, r *exp.Runner, ids []string, suite bool, render
 	bench.SuiteSeconds = elapsed.Seconds()
 	bench.CacheHits, bench.CacheMisses, bench.WindowsDone = m.CacheHits, m.CacheMisses, m.WindowsDone
 	bench.WindowMemoHits, bench.IngestMemoHits = core.WindowMemo().Hits, core.IngestMemo().Hits
-	bench.StreamCacheBytes, bench.PeakRSSMB = workload.StreamCache().ResidentBytes, peakRSSMB()
+	streams := workload.StreamCache()
+	bench.StreamCacheBytes, bench.StreamCacheEvictions = streams.ResidentBytes, streams.Evictions
+	bench.PeakRSSMB = peakRSSMB()
 	if bench.SuiteSeconds > 0 {
 		bench.WindowsPerSec = float64(bench.WindowsDone) / bench.SuiteSeconds
 	}

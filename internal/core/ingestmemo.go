@@ -30,9 +30,9 @@ import (
 // first-touch (page, home) list; a hit replays both by array copy
 // instead of re-walking ~10^6 recorded accesses.
 
-// ingestKey identifies one memoized phase ingest. sig is the phase
-// stream's signature (spec, system shape, per-core budget — see
-// workload.PhaseStream.Sig).
+// ingestKey identifies one memoized phase ingest. sig is the source's
+// signature for its streams at the phase budget (spec, system shape,
+// per-core budget — see AccessSource.StreamSig).
 type ingestKey struct {
 	sig   string
 	phase int

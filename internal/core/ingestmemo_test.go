@@ -21,6 +21,9 @@ func (p plainSource) PhaseStream(phase int, budget uint64) *workload.PhaseStream
 	return workload.RecordStream(p.NumCores(), budget, p.Next)
 }
 
+func (plainSource) StreamSig(uint64) string          { return "" }
+func (plainSource) ReleasePhase(int, uint64, uint64) {}
+
 // traceOutputs projects the fields of a TraceResult that step C and the
 // reports consume, for deep comparison.
 func traceOutputs(tr *TraceResult) map[string]any {
@@ -139,5 +142,63 @@ func TestIngestMemoSharedAcrossTrackerShapes(t *testing.T) {
 	}
 	if hits := after.Hits - before.Hits; hits != int64(len(cfgs)-1)*phases {
 		t.Errorf("ingest memo hits = %d, want %d", hits, int64(len(cfgs)-1)*phases)
+	}
+}
+
+// After step B and every window of a quick plan, the stream cache holds
+// only the windows' prefixes: step B swapped each full phase for its
+// timed prefix once it was ingested. A second plan over the same
+// streams restores every phase from the ingest memo, recalls every
+// window, and records nothing.
+func TestStreamCacheKeepsOnlyTimedPrefixes(t *testing.T) {
+	sys := StarNUMASystem()
+	cfg := QuickSim()
+	spec := tinySpec(t, "BFS")
+	spec.Seed ^= 0x5eed // streams no other test records
+	run := func() {
+		p, newGen := planFor(t, sys, cfg, spec)
+		for i := 0; i < p.NumWindows(); i++ {
+			p.RunWindow(i, newGen())
+		}
+	}
+	before := workload.StreamCache()
+	run()
+	after := workload.StreamCache()
+
+	gen, err := workload.NewGenerator(spec, topology.New(sys.Topology).Sockets(), sys.CoresPerSocket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prefixBytes int64
+	for phase := 0; phase < cfg.Phases; phase++ {
+		s := gen.PhaseStream(phase, cfg.TimedInstr)
+		prefixBytes += int64(cap(s.Off))*4 + int64(cap(s.GapM1))*2 + int64(cap(s.Words))*4
+	}
+	if got := workload.StreamCache(); got.Misses != after.Misses {
+		t.Fatalf("%d timed prefixes were not resident after the plan", got.Misses-after.Misses)
+	}
+	if held := after.ResidentBytes - before.ResidentBytes; held != prefixBytes {
+		t.Errorf("the plan left %d stream bytes resident, want its prefixes' %d", held, prefixBytes)
+	}
+
+	memo := IngestMemo()
+	run()
+	if got := workload.StreamCache(); got.Misses != after.Misses {
+		t.Errorf("a plan whose ingests all hit the memo recorded %d streams", got.Misses-after.Misses)
+	}
+	if got := IngestMemo(); got.Hits-memo.Hits != int64(cfg.Phases) || got.Misses != memo.Misses {
+		t.Errorf("second plan: %d ingest hits, %d misses; want %d, 0",
+			got.Hits-memo.Hits, got.Misses-memo.Misses, cfg.Phases)
+	}
+
+	// No phase-budget stream stayed resident: each must be recorded
+	// anew, after which it is released again.
+	for phase := 0; phase < cfg.Phases; phase++ {
+		misses := workload.StreamCache().Misses
+		gen.PhaseStream(phase, cfg.PhaseInstr)
+		if workload.StreamCache().Misses != misses+1 {
+			t.Errorf("phase %d's full stream stayed resident", phase)
+		}
+		gen.ReleasePhase(phase, cfg.PhaseInstr, cfg.TimedInstr)
 	}
 }

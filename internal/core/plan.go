@@ -84,8 +84,7 @@ type Window struct {
 //starnuma:hotpath step-C entry point, one call per (window, worker)
 func (p *Plan) RunWindow(i int, gen AccessSource) Window {
 	chk := p.tr.Checkpoints[i]
-	sig := gen.PhaseStream(chk.Phase, p.cfg.PhaseInstr).Sig
-	key, memoable := windowKeyOf(p.sys, p.cfg, sig, chk, p.tr.Replicated)
+	key, memoable := windowKeyOf(p.sys, p.cfg, gen.StreamSig(p.cfg.TimedInstr), chk, p.tr.Replicated)
 	if memoable {
 		if w, ok := recallWindow(key); ok {
 			return Window{stats: w}

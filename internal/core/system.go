@@ -320,7 +320,7 @@ func (ts *timingSystem) resetScratch() {
 //starnuma:coldpath once-per-window configuration
 func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint, replicated []bool) {
 	ts.cfg = cfg
-	ts.stream = gen.PhaseStream(chk.Phase, cfg.PhaseInstr)
+	ts.stream = gen.PhaseStream(chk.Phase, cfg.TimedInstr)
 	ts.mlp = gen.Spec().MLP
 	ts.chargeTracker = policyChargesTracker(cfg)
 	ts.w = windowStats{}
@@ -1231,8 +1231,8 @@ func unfinishedPanic(running, phase int) {
 }
 
 // streamOverrunPanic reports a core that consumed its whole phase
-// stream before its timed budget — impossible while TimedInstr is at
-// most PhaseInstr, which SimConfig.Validate enforces.
+// stream before its timed budget — impossible, as prepare binds the
+// stream recorded at exactly that budget.
 //
 //starnuma:coldpath
 func streamOverrunPanic(core int) {

@@ -62,12 +62,14 @@ type TraceResult struct {
 // ordering well enough for first-touch purposes. Ingests of streams
 // with a signature are memoized across variants (see ingestmemo.go): a
 // repeat of the same (stream, phase) restores the recorded products by
-// array copy instead of re-walking the stream.
-func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
+// array copy and touches no stream. After a walk only step C's prefix
+// of the phase is read again, so the source is told to release the
+// rest.
+func ingestPhase(gen AccessSource, phase int, cfg SimConfig,
 	home []topology.NodeID, counts *migrate.PageCounts) {
-	s := gen.PhaseStream(phase, phaseInstr)
-	memoable := s.Sig != ""
-	key := ingestKey{sig: s.Sig, phase: phase}
+	sig := gen.StreamSig(cfg.PhaseInstr)
+	memoable := sig != ""
+	key := ingestKey{sig: sig, phase: phase}
 	if memoable {
 		if e, ok := ingestCache.Get(key); ok {
 			for i, p := range e.firstPages {
@@ -79,6 +81,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 			return
 		}
 	}
+	s := gen.PhaseStream(phase, cfg.PhaseInstr)
 	off, words := s.Off, s.Words
 	cores := gen.NumCores()
 	socketOf := make([]int, cores)
@@ -125,6 +128,7 @@ func ingestPhase(gen AccessSource, phase int, phaseInstr uint64,
 		ingestCache.Put(key, &ingestEntry{pc: counts.SaveState(),
 			firstPages: firstPages, firstHomes: firstHomes})
 	}
+	gen.ReleasePhase(phase, cfg.PhaseInstr, cfg.TimedInstr)
 }
 
 // TraceSimulate runs step B: per-phase migration decisions over the full
@@ -226,7 +230,7 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		} else {
 			tbl.Reset()
 		}
-		ingestPhase(gen, phase, cfg.PhaseInstr, home, counts)
+		ingestPhase(gen, phase, cfg, home, counts)
 		counts.FoldInto(tbl, sampled)
 		counts.AddInto(totals)
 		lastFB = migrate.ComputeFeedback(phase, counts, home, topo.HasPool(), topo.PoolNode())

@@ -60,10 +60,12 @@ func (f *fakeSource) next(core int) workload.Access {
 		Write: write,
 	}
 }
-func (f *fakeSource) NumPages() int       { return f.pages }
-func (f *fakeSource) NumCores() int       { return f.cores }
-func (f *fakeSource) SocketOf(c int) int  { return c / f.perSocket }
-func (f *fakeSource) Spec() workload.Spec { return f.spec }
+func (f *fakeSource) StreamSig(uint64) string          { return "" }
+func (f *fakeSource) ReleasePhase(int, uint64, uint64) {}
+func (f *fakeSource) NumPages() int                    { return f.pages }
+func (f *fakeSource) NumCores() int                    { return f.cores }
+func (f *fakeSource) SocketOf(c int) int               { return c / f.perSocket }
+func (f *fakeSource) Spec() workload.Spec              { return f.spec }
 
 // windowSim is a minimal sim config for single-window tests.
 func windowSim() SimConfig {

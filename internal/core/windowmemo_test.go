@@ -197,7 +197,7 @@ func fingerprint(w windowStats) string {
 func planWindowKey(t *testing.T, p *Plan, gen AccessSource, i int) windowKey {
 	t.Helper()
 	chk := p.Checkpoint(i)
-	key, ok := windowKeyOf(p.sys, p.cfg, gen.PhaseStream(chk.Phase, p.cfg.PhaseInstr).Sig,
+	key, ok := windowKeyOf(p.sys, p.cfg, gen.StreamSig(p.cfg.TimedInstr),
 		chk, p.tr.Replicated)
 	if !ok {
 		t.Fatal("window is not memoizable")

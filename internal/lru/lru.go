@@ -88,6 +88,17 @@ func (m *Memo[K, V]) Put(k K, v V) {
 	m.stats.ResidentBytes += sz
 }
 
+// Delete drops the entry stored under k, if any. It is not an
+// eviction: the caller knows the value will not be read again.
+func (m *Memo[K, V]) Delete(k K) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[k]; e != nil {
+		m.stats.ResidentBytes -= e.size
+		delete(m.entries, k)
+	}
+}
+
 // Reset drops every entry.
 func (m *Memo[K, V]) Reset() {
 	m.mu.Lock()

@@ -45,6 +45,24 @@ func TestPutKeepsResidentAndSkipsOversize(t *testing.T) {
 	}
 }
 
+func TestDeleteFreesBytesWithoutEvicting(t *testing.T) {
+	m := New[int](10, byLen)
+	m.Put(1, "aaaa")
+	m.Put(2, "bbbbbb")
+	m.Delete(1)
+	m.Delete(3) // absent: a no-op
+	if _, ok := m.Get(1); ok {
+		t.Error("entry survived Delete")
+	}
+	m.Put(3, "cccc") // fits in the freed bytes
+	if _, ok := m.Get(2); !ok {
+		t.Error("Delete did not free its bytes: 2 was evicted")
+	}
+	if got := m.Stats(); got.ResidentBytes != 10 || got.Evictions != 0 {
+		t.Errorf("stats = %+v", got)
+	}
+}
+
 func TestResetDropsEntriesKeepsCounters(t *testing.T) {
 	m := New[int](10, byLen)
 	m.Put(1, "a")

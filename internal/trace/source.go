@@ -144,8 +144,7 @@ func (s *Source) checkRecord(rec Record) error {
 
 // PhaseStream implements core.AccessSource: phase's file, each core's
 // records replayed from the start (wrapping as often as needed) until
-// the core's cumulative gap reaches budget. The stream has no
-// signature, so step B never memoizes a file replay.
+// the core's cumulative gap reaches budget.
 func (s *Source) PhaseStream(phase int, budget uint64) *workload.PhaseStream {
 	if i := phase % len(s.paths); i != s.cur {
 		if err := s.load(i); err != nil {
@@ -166,6 +165,15 @@ func (s *Source) PhaseStream(phase int, budget uint64) *workload.PhaseStream {
 	}
 	return s.built
 }
+
+// StreamSig implements core.AccessSource: a file replay vouches for no
+// stream identity, so neither step memoizes it.
+func (s *Source) StreamSig(uint64) string { return "" }
+
+// ReleasePhase implements core.AccessSource. A source keeps only its
+// last built stream, which the next PhaseStream call at another budget
+// or phase replaces, so there is nothing to release.
+func (s *Source) ReleasePhase(int, uint64, uint64) {}
 
 // NumPages implements core.AccessSource.
 func (s *Source) NumPages() int { return s.pages }

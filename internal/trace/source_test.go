@@ -58,13 +58,12 @@ func TestSourceReplaysDump(t *testing.T) {
 	}
 
 	// Replay must byte-match the generator's recorded stream at the
-	// dump budget; only the signature differs.
+	// dump budget, and claim no stream identity.
+	if sig := src.StreamSig(3000); sig != "" {
+		t.Fatalf("file replay claims stream identity %q", sig)
+	}
 	got := *src.PhaseStream(0, 3000)
 	want := *gen.PhaseStream(0, 3000)
-	if got.Sig != "" {
-		t.Fatalf("file replay claims stream identity %q", got.Sig)
-	}
-	want.Sig = ""
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("replayed phase stream differs from the generator's")
 	}
@@ -119,6 +118,27 @@ func TestSourceWrapsExhaustedStream(t *testing.T) {
 		if a != file[i%len(file)] {
 			t.Fatalf("record %d is not the wrapped file record %d", i, i%len(file))
 		}
+	}
+}
+
+// A file replay whose cores wrap keeps the prefix property: the
+// phase-budget stream's Prefix at the timed budget equals a fresh
+// replay at that budget.
+func TestWrappedSourcePrefixIsTimedReplay(t *testing.T) {
+	gen := testGen(t)
+	path := dumpTestTrace(t, t.TempDir(), gen, 0, 200) // tiny: every core wraps
+	const phaseInstr, timedInstr = 200_000, 20_000
+	open := func() *Source {
+		src, err := NewSource(gen.Spec(), 16, 4, []string{path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	fresh := *open().PhaseStream(0, timedInstr)
+	cut := *open().PhaseStream(0, phaseInstr).Prefix(timedInstr)
+	if !reflect.DeepEqual(cut, fresh) {
+		t.Fatal("Prefix of the wrapped phase-budget replay differs from a timed replay")
 	}
 }
 

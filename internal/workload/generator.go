@@ -49,12 +49,13 @@ type Generator struct {
 	phase int
 
 	// Stream replay state (see stream.go). With a non-zero budget,
-	// ResetPhase binds stream to the recorded phase stream and Next
-	// replays it via per-core cursors instead of drawing.
-	budget uint64
-	sig    string
-	stream *PhaseStream
-	cursor []int32
+	// ResetPhase binds stream to the recorded stream of streamPhase and
+	// Next replays it via per-core cursors instead of drawing.
+	budget      uint64
+	sig         string
+	stream      *PhaseStream
+	streamPhase int
+	cursor      []int32
 }
 
 // NewGenerator builds a generator for spec on a system of

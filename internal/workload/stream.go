@@ -12,12 +12,17 @@ import (
 //
 // Stream cache: a core's miss stream for one phase is a pure function
 // of (spec, system shape, phase) — see the determinism contract on
-// Generator. Step B replays every phase once and step C replays each
-// phase once per timing window, so without caching the same exponential
-// draws, class searches and page picks are recomputed dozens of times.
-// PhaseStream (or SetPhaseBudget+ResetPhase) records the stream once,
-// at the consumer's per-core instruction budget, into a compact
-// struct-of-arrays buffer, and every later replay is pure array reads.
+// Generator — and a recording stops each core at the first access
+// whose cumulative gap reaches the budget, so a recording at a smaller
+// budget is, core by core, a prefix of one at a larger budget. Step B
+// walks each phase once, at the phase budget (SimConfig.PhaseInstr);
+// step C replays only each core's first TimedInstr instructions, once
+// per timing window. PhaseStream (or SetPhaseBudget+ResetPhase) records
+// a stream once, at the consumer's per-core instruction budget, into a
+// compact struct-of-arrays buffer, and every later replay is pure array
+// reads. A full-phase stream stays cached only until step B has
+// ingested it: ReleasePhase then swaps it for its prefix at the timed
+// budget (PhaseStream.Prefix), which is all the windows read.
 //
 // Generator pool: runner workers previously built a fresh Generator per
 // window, re-deriving page→class and page→sharer assignments each time.
@@ -45,11 +50,6 @@ import (
 // consumer of the same (spec, shape, budget, phase) — so they are
 // read-only once built.
 type PhaseStream struct {
-	// Sig names the stream's content: equal non-empty signatures mean
-	// byte-identical streams, which is what step B's ingest memo keys
-	// on. Empty means the source vouches for no identity, and the memo
-	// is skipped.
-	Sig   string
 	Off   []int32
 	GapM1 []uint16
 	Words []uint32
@@ -80,6 +80,38 @@ func unpack(gapM1 uint16, w uint32) Access {
 		Block: uint16(w>>1) & (BlocksPerPage - 1), Write: w&WordWrite != 0}
 }
 
+// Prefix returns the stream cut at a smaller budget: each core's run
+// ends with its first access whose cumulative gap reaches budget, the
+// rule a recording stops by, so for a source whose cores replay one
+// sequence whatever the budget (every generator and trace file), it
+// equals a recording at budget. The arrays are fresh and exactly
+// sized. It panics if a core's run ends before reaching budget.
+func (s *PhaseStream) Prefix(budget uint64) *PhaseStream {
+	cores := len(s.Off) - 1
+	ends := make([]int32, cores)
+	n := 0
+	for c := 0; c < cores; c++ {
+		i := s.Off[c]
+		for cum := uint64(0); cum < budget; i++ {
+			if i == s.Off[c+1] {
+				streamOverrun(c)
+			}
+			cum += uint64(s.GapM1[i]) + 1
+		}
+		ends[c] = i
+		n += int(i - s.Off[c])
+	}
+	p := &PhaseStream{Off: make([]int32, cores+1),
+		GapM1: make([]uint16, 0, n), Words: make([]uint32, 0, n)}
+	for c := 0; c < cores; c++ {
+		p.Off[c] = int32(len(p.GapM1))
+		p.GapM1 = append(p.GapM1, s.GapM1[s.Off[c]:ends[c]]...)
+		p.Words = append(p.Words, s.Words[s.Off[c]:ends[c]]...)
+	}
+	p.Off[cores] = int32(n)
+	return p
+}
+
 // bytes is the stream's resident size: the arrays' capacities, which
 // is what the stream cache holds, not their lengths.
 func (s *PhaseStream) bytes() int64 {
@@ -88,7 +120,7 @@ func (s *PhaseStream) bytes() int64 {
 
 // RecordStream builds a phase stream by drawing each core's accesses
 // from next, core by core, until the core's cumulative gap reaches
-// budget. The result has an empty Sig. Every access must be packable
+// budget. Every access must be packable
 // (see PhaseStream); sources reject unpackable values where they enter,
 // so one reaching here is a producer bug and panics.
 func RecordStream(cores int, budget uint64, next func(core int) Access) *PhaseStream {
@@ -186,15 +218,18 @@ type streamKey struct {
 	phase int
 }
 
-// streamCacheCap bounds cached stream bytes. It must hold the whole
-// suite's working set — every (workload, shape, phase) the process
-// touches, tens of MB each — because an evicted stream is re-recorded
-// from the RNGs at full generation cost: an undersized cap turns the
-// cache into a treadmill where each experiment evicts the streams the
-// next one needs. Least-recently-used entries are dropped only past
-// this cap, which is sized for full-scale sweeps, not just the quick
-// suite.
-const streamCacheCap = 6 << 30
+// streamCacheCap bounds cached stream bytes. Once step B has ingested
+// a phase the cache keeps only its timed prefix, a tenth of the phase
+// at both presets, so the cap must hold the prefixes of every
+// (workload, shape, phase) the process touches plus the few full phases
+// recorded and not yet ingested: the quick suite ends holding about
+// 142 MB. An evicted stream is re-recorded from the RNGs at full
+// generation cost, so an undersized cap would turn the cache into a
+// treadmill where each experiment evicts the streams the next one
+// needs. Least-recently-used entries are dropped only past this cap,
+// which leaves room for full-scale sweeps, and with the ingest and
+// window memos' caps it sums to about 4 GiB.
+const streamCacheCap = 2 << 30
 
 var streamCache = lru.New[streamKey](streamCacheCap, (*PhaseStream).bytes)
 
@@ -240,8 +275,35 @@ func (g *Generator) PhaseStream(phase int, budget uint64) *PhaseStream {
 	return g.stream
 }
 
+// StreamSig implements core.AccessSource: it names phase streams at
+// budget by the full Spec (seed, classes, drift), the system shape and
+// the budget, so equal signatures mean byte-identical streams.
+func (g *Generator) StreamSig(budget uint64) string {
+	if budget == g.budget && g.sig != "" {
+		return g.sig
+	}
+	return streamSig(g.spec, g.sockets, g.coresPerSocket, budget)
+}
+
+// ReleasePhase implements core.AccessSource. When the generator is
+// bound to phase's stream at budget, as PhaseStream leaves it, and keep
+// is below budget, the stream cache swaps that stream for its prefix at
+// keep, and the generator is left bound to the prefix, as
+// PhaseStream(phase, keep) would leave it. Otherwise it does nothing.
+func (g *Generator) ReleasePhase(phase int, budget, keep uint64) {
+	if g.stream == nil || g.budget != budget || g.streamPhase != phase || keep >= budget {
+		return
+	}
+	full := streamKey{sig: g.sig, phase: phase}
+	prefix := g.stream.Prefix(keep)
+	g.SetPhaseBudget(keep)
+	streamCache.Put(streamKey{sig: g.sig, phase: phase}, prefix)
+	streamCache.Delete(full)
+	g.bind(phase, prefix)
+}
+
 // loadStream points the generator at the cached stream for phase,
-// recording it on a cache miss, and rewinds every core's cursor.
+// recording it on a cache miss.
 func (g *Generator) loadStream(phase int) {
 	key := streamKey{sig: g.sig, phase: phase}
 	s, ok := streamCache.Get(key)
@@ -249,10 +311,15 @@ func (g *Generator) loadStream(phase int) {
 		// Recording consumes the per-core RNG streams, which is safe
 		// because replay mode never touches them again this phase.
 		s = g.record(g.budget)
-		s.Sig = g.sig
 		streamCache.Put(key, s)
 	}
-	g.stream = s
+	g.bind(phase, s)
+}
+
+// bind makes s, phase's stream at the generator's budget, the stream
+// Next replays, and rewinds every core's cursor.
+func (g *Generator) bind(phase int, s *PhaseStream) {
+	g.stream, g.streamPhase = s, phase
 	if g.cursor == nil {
 		g.cursor = make([]int32, len(g.rngs))
 	}
