@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	rtmetrics "runtime/metrics"
 	"syscall"
 )
 
@@ -17,7 +18,9 @@ import (
 // the phase-stream cache's resident bytes at the end of the run and
 // the process's peak resident set. StreamCacheEvictions counts the
 // streams the cache dropped for want of room, each of which costs a
-// re-recording if it is read again. The gate reads none of the three.
+// re-recording if it is read again. GCCycles and GCCPUSeconds are the
+// process's completed collections and the CPU time its collector used
+// (runtime/metrics estimates it). The gate reads none of these five.
 type benchReport struct {
 	Timestamp            string            `json:"timestamp"`
 	Quick                bool              `json:"quick"`
@@ -33,6 +36,8 @@ type benchReport struct {
 	StreamCacheBytes     int64             `json:"stream_cache_bytes"`
 	StreamCacheEvictions int64             `json:"stream_cache_evictions"`
 	PeakRSSMB            float64           `json:"peak_rss_mb"`
+	GCCycles             uint64            `json:"gc_cycles"`
+	GCCPUSeconds         float64           `json:"gc_cpu_s"`
 	Experiments          []benchExperiment `json:"experiments"`
 }
 
@@ -62,6 +67,20 @@ func peakRSSMB() float64 {
 		return 0
 	}
 	return float64(ru.Maxrss) / 1024
+}
+
+// gcTotals returns the process's completed GC cycles and its
+// collector's CPU seconds so far.
+func gcTotals() (cycles uint64, cpuS float64) {
+	s := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() == rtmetrics.KindUint64 {
+		cycles = s[0].Value.Uint64()
+	}
+	if s[1].Value.Kind() == rtmetrics.KindFloat64 {
+		cpuS = s[1].Value.Float64()
+	}
+	return cycles, cpuS
 }
 
 func (b *benchReport) write(path string) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,8 +106,8 @@ func TestCompareExperimentsFailsOnBigDrop(t *testing.T) {
 	}
 }
 
-// A baseline written before the report carried its memory fields still
-// reads, and the gate still measures it.
+// A baseline written before the report carried its memory and GC
+// fields still reads, and the gate still measures it.
 func TestBaselineWithoutMemoryFieldsReads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.json")
 	old := `{"suite_seconds": 100, "windows_done": 500, "windows_per_sec": 5, "experiments": []}`
@@ -121,7 +122,19 @@ func TestBaselineWithoutMemoryFieldsReads(t *testing.T) {
 		t.Fatalf("absent memory fields read as %d bytes, %d evictions, %v MB",
 			r.StreamCacheBytes, r.StreamCacheEvictions, r.PeakRSSMB)
 	}
+	if r.GCCycles != 0 || r.GCCPUSeconds != 0 {
+		t.Fatalf("absent GC fields read as %d cycles, %v s", r.GCCycles, r.GCCPUSeconds)
+	}
 	if got, err := throughput(r); err != nil || got != 5 {
 		t.Fatalf("throughput = %v, %v; want 5", got, err)
+	}
+}
+
+// The GC figures come from the runtime: after a forced collection the
+// process has completed at least one cycle.
+func TestGCTotalsCountCollections(t *testing.T) {
+	runtime.GC()
+	if cycles, cpuS := gcTotals(); cycles == 0 || cpuS < 0 {
+		t.Fatalf("gcTotals() = %d cycles, %v s after runtime.GC", cycles, cpuS)
 	}
 }

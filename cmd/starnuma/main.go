@@ -342,6 +342,7 @@ func runExperiments(w io.Writer, r *exp.Runner, ids []string, suite bool, render
 	streams := workload.StreamCache()
 	bench.StreamCacheBytes, bench.StreamCacheEvictions = streams.ResidentBytes, streams.Evictions
 	bench.PeakRSSMB = peakRSSMB()
+	bench.GCCycles, bench.GCCPUSeconds = gcTotals()
 	if bench.SuiteSeconds > 0 {
 		bench.WindowsPerSec = float64(bench.WindowsDone) / bench.SuiteSeconds
 	}

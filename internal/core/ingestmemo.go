@@ -40,7 +40,8 @@ type ingestKey struct {
 
 type ingestEntry struct {
 	pc *migrate.PageCountsState
-	// The phase's first-touch assignments, in stream order.
+	// The phase's first-touch assignments, in page order. Each page
+	// appears once, so restoring them in any order gives the same map.
 	firstPages []uint32
 	firstHomes []topology.NodeID
 }

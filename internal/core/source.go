@@ -9,8 +9,8 @@ import "starnuma/internal/workload"
 //
 // A source has one stream contract: the recorded flat arrays of one
 // phase (workload.PhaseStream). Step B ingests each phase once, at the
-// phase's full instruction budget (SimConfig.PhaseInstr), reading the
-// cores round-robin; each step-C window reads only each core's first
+// phase's full instruction budget (SimConfig.PhaseInstr), one core's
+// run after another; each step-C window reads only each core's first
 // TimedInstr instructions, through per-core cursors over the phase's
 // stream at that budget. A recording at the smaller budget is, core by
 // core, a prefix of the one at the larger, so both steps see the same

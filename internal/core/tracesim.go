@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"starnuma/internal/evtrace"
@@ -56,15 +57,17 @@ type TraceResult struct {
 }
 
 // ingestPhase replays one phase into the first-touch map and the
-// per-page counts, reading the source's recorded arrays with cores
-// interleaved round-robin at miss granularity — the order first-touch
-// assignment depends on, which approximates global instruction-count
-// ordering well enough for first-touch purposes. Ingests of streams
-// with a signature are memoized across variants (see ingestmemo.go): a
-// repeat of the same (stream, phase) restores the recorded products by
-// array copy and touches no stream. After a walk only step C's prefix
-// of the phase is read again, so the source is told to release the
-// rest.
+// per-page counts, reading the source's recorded arrays one core at a
+// time. Only first touch depends on access order, and it is defined by
+// the cores interleaved round-robin at miss granularity (a stand-in
+// for global instruction order): round r visits every core's r-th
+// access in core order, so a page's first toucher is the core with the
+// smallest (r, core) over the phase's accesses to it. Ingests of
+// streams with a signature are memoized across variants (see
+// ingestmemo.go): a repeat of the same (stream, phase) restores the
+// recorded products by array copy and touches no stream. After a walk
+// only step C's prefix of the phase is read again, so the source is
+// told to release the rest.
 func ingestPhase(gen AccessSource, phase int, cfg SimConfig,
 	home []topology.NodeID, counts *migrate.PageCounts) {
 	sig := gen.StreamSig(cfg.PhaseInstr)
@@ -82,46 +85,33 @@ func ingestPhase(gen AccessSource, phase int, cfg SimConfig,
 		}
 	}
 	s := gen.PhaseStream(phase, cfg.PhaseInstr)
-	off, words := s.Off, s.Words
-	cores := gen.NumCores()
-	socketOf := make([]int, cores)
-	cur := make([]int32, cores)
-	active := 0
-	for c := 0; c < cores; c++ {
-		socketOf[c] = gen.SocketOf(c)
-		cur[c] = off[c]
-		if cur[c] < off[c+1] {
-			active++
+	// first[p] is page p's earliest touch so far. Cores run in
+	// ascending order, so the strict < keeps the lower core on a tie.
+	first := make([]firstTouch, len(home))
+	for p := range first {
+		first[p].round = untouched
+	}
+	for c := 0; c < gen.NumCores(); c++ {
+		sock := gen.SocketOf(c)
+		for r, w := range s.Words[s.Off[c]:s.Off[c+1]] {
+			p := w >> workload.WordPageShift
+			counts.Record(sock, p)
+			counts.AddWrites(p, w&workload.WordWrite)
+			if uint32(r) < first[p].round {
+				first[p] = firstTouch{round: uint32(r), sock: uint32(sock)}
+			}
 		}
 	}
 	var firstPages []uint32
 	var firstHomes []topology.NodeID
-	// A core's recorded length is exactly its consumption at this
-	// budget, so cursor exhaustion is the per-core finish condition.
-	for active > 0 {
-		for c := 0; c < cores; c++ {
-			i := cur[c]
-			if i >= off[c+1] {
-				continue
-			}
-			cur[c] = i + 1
-			if i+1 >= off[c+1] {
-				active--
-			}
-			w := words[i]
-			p := w >> workload.WordPageShift
-			sock := socketOf[c]
-			if home[p] == Unassigned {
-				home[p] = topology.NodeID(sock) // first touch
-				if memoable {
-					firstPages = append(firstPages, p)
-					firstHomes = append(firstHomes, topology.NodeID(sock))
-				}
-			}
-			counts.Record(sock, p)
-			if w&workload.WordWrite != 0 {
-				counts.RecordWrite(p)
-			}
+	for p, f := range first {
+		if f.round == untouched || home[p] != Unassigned {
+			continue
+		}
+		home[p] = topology.NodeID(f.sock)
+		if memoable {
+			firstPages = append(firstPages, uint32(p))
+			firstHomes = append(firstHomes, home[p])
 		}
 	}
 	if memoable {
@@ -130,6 +120,13 @@ func ingestPhase(gen AccessSource, phase int, cfg SimConfig,
 	}
 	gen.ReleasePhase(phase, cfg.PhaseInstr, cfg.TimedInstr)
 }
+
+// firstTouch is a page's earliest access in a phase: its round (index
+// in its core's stream) and the toucher's socket. untouched is the
+// round of a page the phase has not touched.
+type firstTouch struct{ round, sock uint32 }
+
+const untouched = math.MaxUint32
 
 // TraceSimulate runs step B: per-phase migration decisions over the full
 // workload trace, producing one checkpoint per phase.

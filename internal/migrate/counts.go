@@ -40,11 +40,11 @@ func (c *PageCounts) Record(socket int, page uint32) {
 	c.counts[int(page)*c.sockets+socket]++
 }
 
-// RecordWrite notes that an access to page was a store.
+// AddWrites adds n stores to page's count (step B: the write bit).
 //
-//starnuma:hotpath one call per tracked write
-func (c *PageCounts) RecordWrite(page uint32) {
-	c.writes[page]++
+//starnuma:hotpath one call per tracked access (step B)
+func (c *PageCounts) AddWrites(page, n uint32) {
+	c.writes[page] += n
 }
 
 // WriteFrac returns the fraction of the page's accesses that were

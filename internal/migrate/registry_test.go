@@ -321,9 +321,7 @@ func TestReplicationPolicyFiltersPoolMoves(t *testing.T) {
 
 	// Written pages stay out of the replica set.
 	st2 := conformanceState()
-	for i := 0; i < 50; i++ {
-		st2.Counts.RecordWrite(uint32(first))
-	}
+	st2.Counts.AddWrites(uint32(first), 50)
 	p2, _ := NewPolicy("replication", Params{"hi_start": 64, "hot_accesses": 10}, testEnv())
 	p2.Decide(0, st2)
 	if s2 := p2.(*ReplicationPolicy).ReplicatedSet(); s2 != nil && s2[first] {

@@ -32,7 +32,7 @@ func TestWriteFracTracking(t *testing.T) {
 	c := NewPageCounts(8, 4)
 	c.Record(0, 1)
 	c.Record(1, 1)
-	c.RecordWrite(1)
+	c.AddWrites(1, 1)
 	if got := c.WriteFrac(1); got != 0.5 {
 		t.Fatalf("WriteFrac = %v", got)
 	}
@@ -65,9 +65,7 @@ func TestReplicationSetSelection(t *testing.T) {
 			total.Record(s, 1)
 		}
 	}
-	for i := 0; i < 800; i++ {
-		total.RecordWrite(1)
-	}
+	total.AddWrites(1, 800)
 	// Page 2: read-only but private -> excluded.
 	for i := 0; i < 1000; i++ {
 		total.Record(3, 2)
