@@ -18,9 +18,11 @@ import (
 // the phase-stream cache's resident bytes at the end of the run and
 // the process's peak resident set. StreamCacheEvictions counts the
 // streams the cache dropped for want of room, each of which costs a
-// re-recording if it is read again. GCCycles and GCCPUSeconds are the
-// process's completed collections and the CPU time its collector used
-// (runtime/metrics estimates it). The gate reads none of these five.
+// re-recording if it is read again. StreamRecordings counts the phase
+// streams generators recorded, each a whole phase drawn on a cache
+// miss. GCCycles and GCCPUSeconds are the process's completed
+// collections and the CPU time its collector used (runtime/metrics
+// estimates it). The gate reads none of these six.
 type benchReport struct {
 	Timestamp            string            `json:"timestamp"`
 	Quick                bool              `json:"quick"`
@@ -35,6 +37,7 @@ type benchReport struct {
 	IngestMemoHits       int64             `json:"ingest_memo_hits"`
 	StreamCacheBytes     int64             `json:"stream_cache_bytes"`
 	StreamCacheEvictions int64             `json:"stream_cache_evictions"`
+	StreamRecordings     int64             `json:"stream_recordings"`
 	PeakRSSMB            float64           `json:"peak_rss_mb"`
 	GCCycles             uint64            `json:"gc_cycles"`
 	GCCPUSeconds         float64           `json:"gc_cpu_s"`

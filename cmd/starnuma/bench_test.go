@@ -106,8 +106,8 @@ func TestCompareExperimentsFailsOnBigDrop(t *testing.T) {
 	}
 }
 
-// A baseline written before the report carried its memory and GC
-// fields still reads, and the gate still measures it.
+// A baseline written before the report carried its memory, recording
+// and GC fields still reads, and the gate still measures it.
 func TestBaselineWithoutMemoryFieldsReads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.json")
 	old := `{"suite_seconds": 100, "windows_done": 500, "windows_per_sec": 5, "experiments": []}`
@@ -121,6 +121,9 @@ func TestBaselineWithoutMemoryFieldsReads(t *testing.T) {
 	if r.StreamCacheBytes != 0 || r.StreamCacheEvictions != 0 || r.PeakRSSMB != 0 {
 		t.Fatalf("absent memory fields read as %d bytes, %d evictions, %v MB",
 			r.StreamCacheBytes, r.StreamCacheEvictions, r.PeakRSSMB)
+	}
+	if r.StreamRecordings != 0 {
+		t.Fatalf("absent stream_recordings read as %d", r.StreamRecordings)
 	}
 	if r.GCCycles != 0 || r.GCCPUSeconds != 0 {
 		t.Fatalf("absent GC fields read as %d cycles, %v s", r.GCCycles, r.GCCPUSeconds)

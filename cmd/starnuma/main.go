@@ -341,6 +341,7 @@ func runExperiments(w io.Writer, r *exp.Runner, ids []string, suite bool, render
 	bench.WindowMemoHits, bench.IngestMemoHits = core.WindowMemo().Hits, core.IngestMemo().Hits
 	streams := workload.StreamCache()
 	bench.StreamCacheBytes, bench.StreamCacheEvictions = streams.ResidentBytes, streams.Evictions
+	bench.StreamRecordings = workload.StreamRecordings()
 	bench.PeakRSSMB = peakRSSMB()
 	bench.GCCycles, bench.GCCPUSeconds = gcTotals()
 	if bench.SuiteSeconds > 0 {

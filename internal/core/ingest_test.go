@@ -226,16 +226,12 @@ func writeWrappingTrace(t *testing.T, dir string, phase, cores, pages int) strin
 	return path
 }
 
-// fixedSource serves one recorded phase for every phase and vouches for
-// no stream identity, so ingestPhase walks it on every call.
-type fixedSource struct {
-	*workload.Generator
-	s *workload.PhaseStream
-}
+// unsignedSource is a generator that vouches for no stream identity, so
+// the ingest and window memos never recall its work.
+type unsignedSource struct{ *workload.Generator }
 
-func (f fixedSource) PhaseStream(int, uint64) *workload.PhaseStream { return f.s }
-func (fixedSource) StreamSig(uint64) string                         { return "" }
-func (fixedSource) ReleasePhase(int, uint64, uint64)                {}
+func (unsignedSource) StreamSig(uint64) string          { return "" }
+func (unsignedSource) ReleasePhase(int, uint64, uint64) {}
 
 // BenchmarkIngestPhase ingests one suite phase, SSSP on 16 sockets of 4
 // cores at the quick methodology's scale and phase budget, into an
@@ -251,7 +247,8 @@ func BenchmarkIngestPhase(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := QuickSim()
-	src := &fixedSource{gen, gen.PhaseStream(0, cfg.PhaseInstr)}
+	src := unsignedSource{gen}
+	s := src.PhaseStream(0, cfg.PhaseInstr)
 	home := make([]topology.NodeID, gen.NumPages())
 	counts := migrate.NewPageCounts(gen.NumPages(), sys.Topology.Sockets)
 	b.ReportAllocs()
@@ -265,5 +262,35 @@ func BenchmarkIngestPhase(b *testing.B) {
 		b.StartTimer()
 		ingestPhase(src, 0, cfg, home, counts)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src.s.Words)), "ns/access")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.Words)), "ns/access")
+}
+
+// BenchmarkRunWindow simulates one step-C timing window, the first
+// checkpoint of a quick-preset StarNUMA plan for SSSP on 16 sockets of
+// 4 cores, bypassing the window memo.
+func BenchmarkRunWindow(b *testing.B) {
+	spec, err := workload.ByName("SSSP", 0.125)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := StarNUMASystem()
+	gen, err := workload.NewGenerator(spec, sys.Topology.Sockets, sys.CoresPerSocket)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := QuickSim()
+	cfg.Policy = PolicyStarNUMA
+	src := unsignedSource{gen}
+	plan, err := NewPlan(sys, cfg, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen.PhaseStream(plan.Checkpoint(0).Phase, cfg.TimedInstr) // record the window's stream untimed
+	b.ReportAllocs()
+	b.ResetTimer()
+	var misses uint64
+	for i := 0; i < b.N; i++ {
+		misses += plan.RunWindow(0, src).stats.misses
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(misses), "ns/miss")
 }

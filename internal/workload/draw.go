@@ -1,17 +1,23 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file holds step A's one draw kernel: the loop that turns a
 // core's RNG stream into LLC misses. Stream recording and draw-mode Next
-// both run it, so there is no second draw path to drift from it.
+// both run it, so there is no second draw path to drift from it. A
+// recording runs it over every core in parallel, after a count pass
+// that sizes each core's run from its gap draws alone (record).
 //
-// Per access the kernel takes five RNG outputs, in this order: the
-// exponential gap, the class, the page within the class's pages for the
-// core's socket, the block, and the write coin. Two of them map a
+// Per access the kernel takes drawsPerAccess (five) RNG outputs, in
+// this order: the exponential gap, the class, the page within the
+// class's pages for the core's socket, the block, and the write coin.
+// Two of them map a
 // 53-bit draw k (u = k/2^53 in [0, 1)) through a monotone step
 // function:
 //
@@ -205,22 +211,98 @@ func (g *Generator) draw(core int, gapM1 []uint16, words []uint32, cum, budget u
 	return n, cum
 }
 
+// drawsPerAccess is the number of RNG outputs the draw kernel takes
+// per access; the gap is drawn from the first of them.
+const drawsPerAccess = 5
+
+// runLength returns how many accesses core's run at budget holds: the
+// draw kernel's stop rule applied to the gap draws alone. splitmix64 is
+// counter-based, so access i's gap draw is the output at state
+// s0 + (drawsPerAccess·i + 1)·gamma, where s0 is the core's state at
+// the start of the run, and the other draws are skipped. It reads, and
+// does not advance, the core's RNG. g.gapTab must be set.
+//
+//starnuma:hotpath one iteration per LLC miss of a recording's count pass
+func (g *Generator) runLength(core int, budget uint64) int {
+	// The state advance per access, wrapped to 64 bits as the
+	// generator's own additions wrap.
+	const stride = drawsPerAccess * splitmixGamma & (1<<64 - 1)
+	tab, mean := g.gapTab, g.meanGap
+	state := g.rngs[core].state + splitmixGamma
+	n := 0
+	for cum := uint64(0); cum < budget; n++ {
+		cum += uint64(tab.gap(mean, splitmixOut(state)>>11))
+		state += stride
+	}
+	return n
+}
+
+// recordings counts the phase streams generators have recorded,
+// process-wide.
+var recordings atomic.Int64
+
+// StreamRecordings returns how many phase streams generators have
+// recorded in this process. Each one is a stream-cache miss that drew a
+// whole phase; a caller that waited for another's recording of the same
+// stream did not record.
+func StreamRecordings() int64 { return recordings.Load() }
+
 // record draws the current phase's stream for every core at budget
-// with the draw kernel. It consumes the per-core RNG streams.
+// with the draw kernel, in two passes that each spread the cores over
+// up to GOMAXPROCS goroutines. The count pass finds every core's run
+// length (runLength), which fixes the core's offsets, so the arrays are
+// allocated once at their exact size; the fill pass then runs the draw
+// kernel over each core's slice in place. Cores draw from their own RNG
+// streams, so the result does not depend on the worker count. Without a
+// second CPU the count pass is pure overhead: about 4 ns per access on
+// top of the fill's ~20. It consumes the per-core RNG streams.
 func (g *Generator) record(budget uint64) *PhaseStream {
 	if g.gapTab == nil {
 		g.gapTab = gapTableFor(g.meanGap)
 	}
-	r := newRecorder(len(g.rngs))
-	for core := range g.rngs {
-		r.startCore(core)
-		for cum := uint64(0); cum < budget; {
-			gapM1, words := r.room()
-			var n int
-			n, cum = g.draw(core, gapM1, words, cum, budget)
-			r.n += n
-		}
-		r.endCore(core)
+	recordings.Add(1)
+	cores := len(g.rngs)
+	s := &PhaseStream{Off: make([]int32, cores+1)}
+	eachCore(cores, func(core int) { s.Off[core+1] = int32(g.runLength(core, budget)) })
+	for core := 0; core < cores; core++ {
+		s.Off[core+1] += s.Off[core]
 	}
-	return r.finish()
+	s.GapM1, s.Words = make([]uint16, s.Off[cores]), make([]uint32, s.Off[cores])
+	eachCore(cores, func(core int) {
+		lo, hi := s.Off[core], s.Off[core+1]
+		n, cum := g.draw(core, s.GapM1[lo:hi], s.Words[lo:hi], 0, budget)
+		if n != int(hi-lo) || cum < budget {
+			runLengthMismatch(core, int(hi-lo), n, cum, budget)
+		}
+	})
+	return s
+}
+
+// eachCore calls f once for every core in [0, cores), on up to
+// GOMAXPROCS goroutines (the caller's among them) that take cores from
+// a shared counter, and returns when every call has returned. f must
+// touch only per-core state.
+func eachCore(cores int, f func(core int)) {
+	var next atomic.Int64
+	work := func() {
+		for core := int(next.Add(1) - 1); core < cores; core = int(next.Add(1) - 1) {
+			f(core)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), cores); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+//starnuma:coldpath only on a bug: the count pass and the draw kernel disagree
+func runLengthMismatch(core, counted, drawn int, cum, budget uint64) {
+	panic(fmt.Sprintf("workload: core %d: the count pass sized its run at %d accesses, the draw kernel drew %d reaching %d of budget %d instructions",
+		core, counted, drawn, cum, budget))
 }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -134,6 +137,63 @@ func TestClassTableMatchesScan(t *testing.T) {
 						check(spec.Name, s, d, k)
 					}
 				}
+			}
+		}
+	}
+}
+
+// A recording does not depend on how many goroutines draw it: at
+// GOMAXPROCS 1, 2, 3 and 8, every suite workload at 16 and 32 sockets,
+// and drifting BFS over phases 0–3, records exactly the stream that
+// RecordStream appends from a draw-mode generator, into arrays that
+// hold no slack.
+func TestRecordingIndependentOfWorkerCount(t *testing.T) {
+	budget := uint64(100_000)
+	if testing.Short() {
+		budget = 20_000
+	}
+	type run struct {
+		spec           Spec
+		sockets, phase int
+	}
+	var runs []run
+	for _, spec := range Suite(0.125) {
+		runs = append(runs, run{spec, 16, 1}, run{spec, 32, 1})
+	}
+	drifting, err := ByName("BFS", 0.125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifting.Name = "drifting BFS"
+	drifting.DriftFrac, drifting.DriftPeriod = 0.5, 2
+	for phase := 0; phase < 4; phase++ {
+		runs = append(runs, run{drifting, 16, phase})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	gen := func(r run) *Generator {
+		g, err := NewGenerator(r.spec, r.sockets, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.ResetPhase(r.phase)
+		return g
+	}
+	for _, r := range runs {
+		ref := gen(r)
+		want := RecordStream(ref.NumCores(), budget, ref.Next)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := gen(r).record(budget)
+			name := fmt.Sprintf("%s, %d sockets, phase %d, GOMAXPROCS %d", r.spec.Name, r.sockets, r.phase, procs)
+			if !slices.Equal(got.Off, want.Off) {
+				t.Fatalf("%s: offsets differ from the sequential recording", name)
+			}
+			if !slices.Equal(got.GapM1, want.GapM1) || !slices.Equal(got.Words, want.Words) {
+				t.Fatalf("%s: accesses differ from the sequential recording", name)
+			}
+			if cap(got.Off) != len(got.Off) || cap(got.GapM1) != len(got.GapM1) || cap(got.Words) != len(got.Words) {
+				t.Fatalf("%s: recording left slack (caps %d/%d/%d, lengths %d/%d/%d)", name,
+					cap(got.Off), cap(got.GapM1), cap(got.Words), len(got.Off), len(got.GapM1), len(got.Words))
 			}
 		}
 	}

@@ -8,9 +8,19 @@ type splitmix64 struct{ state uint64 }
 
 func newSplitmix(seed uint64) *splitmix64 { return &splitmix64{state: seed} }
 
+// splitmixGamma is the increment splitmix64 adds to its state per
+// output.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
 func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+	s.state += splitmixGamma
+	return splitmixOut(s.state)
+}
+
+// splitmixOut is the output at state z. The generator is counter-based:
+// its i-th output (from 1) after state s0 is splitmixOut(s0 + i·gamma),
+// so any draw can be evaluated without the ones before it.
+func splitmixOut(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

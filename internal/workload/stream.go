@@ -23,6 +23,9 @@ import (
 // reads. A full-phase stream stays cached only until step B has
 // ingested it: ReleasePhase then swaps it for its prefix at the timed
 // budget (PhaseStream.Prefix), which is all the windows read.
+// Generators record in parallel over cores into exactly sized arrays
+// (Generator.record, draw.go), and callers that miss the same stream
+// at once share one recording (loadOnce).
 //
 // Generator pool: runner workers previously built a fresh Generator per
 // window, re-deriving page→class and page→sharer assignments each time.
@@ -120,88 +123,26 @@ func (s *PhaseStream) bytes() int64 {
 
 // RecordStream builds a phase stream by drawing each core's accesses
 // from next, core by core, until the core's cumulative gap reaches
-// budget. Every access must be packable
-// (see PhaseStream); sources reject unpackable values where they enter,
-// so one reaching here is a producer bug and panics.
+// budget, appending to the arrays as it goes. Every access must be
+// packable (see PhaseStream); sources reject unpackable values where
+// they enter, so one reaching here is a producer bug and panics.
 func RecordStream(cores int, budget uint64, next func(core int) Access) *PhaseStream {
-	r := newRecorder(cores)
+	s := &PhaseStream{Off: make([]int32, cores+1)}
 	for core := 0; core < cores; core++ {
-		r.startCore(core)
+		s.Off[core] = int32(len(s.Words))
 		for cum := uint64(0); cum < budget; {
 			a := next(core)
 			if a.Gap-1 >= MaxGap || a.Page >= MaxFootprintPages || a.Block >= BlocksPerPage {
 				unpackable(core, a)
 			}
 			cum += uint64(a.Gap)
-			gapM1, words := r.room()
-			gapM1[0], words[0] = pack(a.Gap, a.Page, a.Block, a.Write)
-			r.n++
+			gapM1, w := pack(a.Gap, a.Page, a.Block, a.Write)
+			s.GapM1 = append(s.GapM1, gapM1)
+			s.Words = append(s.Words, w)
 		}
-		r.endCore(core)
 	}
-	return r.finish()
-}
-
-// recorder builds a PhaseStream core by core: RecordStream and the
-// generator's draw kernel both write through it. While recording, both
-// arrays are resliced to their capacity and n counts the accesses
-// written.
-type recorder struct {
-	s     *PhaseStream
-	gapM1 []uint16
-	words []uint32
-	n     int
-}
-
-func newRecorder(cores int) recorder {
-	return recorder{s: &PhaseStream{Off: make([]int32, cores+1)}}
-}
-
-// startCore opens core's run at the current end of the stream.
-func (r *recorder) startCore(core int) { r.s.Off[core] = int32(r.n) }
-
-// room returns the free tails of the two arrays, of equal length and
-// at least one long. An array that is full grows exactly as appending
-// one access to it would.
-func (r *recorder) room() ([]uint16, []uint32) {
-	if r.n == len(r.gapM1) {
-		r.gapM1 = growFull(r.gapM1)
-	}
-	if r.n == len(r.words) {
-		r.words = growFull(r.words)
-	}
-	end := min(len(r.gapM1), len(r.words))
-	return r.gapM1[r.n:end], r.words[r.n:end]
-}
-
-// growFull grows a full slice as appending one element would, and
-// returns it resliced to its new capacity.
-func growFull[T uint16 | uint32](s []T) []T {
-	s = append(s, 0)
-	return s[:cap(s)]
-}
-
-// endCore closes core's run. After core 0 it pre-grows the arrays:
-// cores draw from the same mixture, so core 0's access count predicts
-// the total well, and pre-growing avoids repeated multi-MB reallocation
-// copies as the remaining cores record.
-func (r *recorder) endCore(core int) {
-	cores := len(r.s.Off) - 1
-	if core != 0 || cores < 2 {
-		return
-	}
-	want := r.n * cores * 9 / 8
-	gapM1, words := make([]uint16, want), make([]uint32, want)
-	copy(gapM1, r.gapM1[:r.n])
-	copy(words, r.words[:r.n])
-	r.gapM1, r.words = gapM1, words
-}
-
-// finish closes the stream and returns it.
-func (r *recorder) finish() *PhaseStream {
-	r.s.Off[len(r.s.Off)-1] = int32(r.n)
-	r.s.GapM1, r.s.Words = r.gapM1[:r.n], r.words[:r.n]
-	return r.s
+	s.Off[cores] = int32(len(s.Words))
+	return s
 }
 
 //starnuma:coldpath only on a producer bug: sources validate what they record
@@ -223,7 +164,7 @@ type streamKey struct {
 // at both presets, so the cap must hold the prefixes of every
 // (workload, shape, phase) the process touches plus the few full phases
 // recorded and not yet ingested: the quick suite ends holding about
-// 142 MB. An evicted stream is re-recorded from the RNGs at full
+// 140 MB. An evicted stream is re-recorded from the RNGs at full
 // generation cost, so an undersized cap would turn the cache into a
 // treadmill where each experiment evicts the streams the next one
 // needs. Least-recently-used entries are dropped only past this cap,
@@ -303,17 +244,69 @@ func (g *Generator) ReleasePhase(phase int, budget, keep uint64) {
 }
 
 // loadStream points the generator at the cached stream for phase,
-// recording it on a cache miss.
+// recording it on a cache miss. Recording consumes the per-core RNG
+// streams, which is safe because replay mode never touches them again
+// this phase.
 func (g *Generator) loadStream(phase int) {
 	key := streamKey{sig: g.sig, phase: phase}
-	s, ok := streamCache.Get(key)
-	if !ok {
-		// Recording consumes the per-core RNG streams, which is safe
-		// because replay mode never touches them again this phase.
-		s = g.record(g.budget)
-		streamCache.Put(key, s)
+	g.bind(phase, loadOnce(key, func() *PhaseStream { return g.record(g.budget) }))
+}
+
+// streamFlight is one recording in progress; done closes once s is set,
+// or once the recording has failed with s nil.
+type streamFlight struct {
+	done chan struct{}
+	s    *PhaseStream
+}
+
+// streamFlights holds the recordings in progress by key.
+var streamFlights = struct {
+	sync.Mutex
+	m map[streamKey]*streamFlight
+}{m: make(map[streamKey]*streamFlight)}
+
+// loadOnce returns key's stream from the stream cache, calling record
+// on a miss and caching what it returns. Concurrent callers that miss
+// the same key share one recording: the first records, the others wait
+// for it and return its stream, even if the cache has since dropped or
+// replaced it. If the recording panics, its waiters try again.
+func loadOnce(key streamKey, record func() *PhaseStream) *PhaseStream {
+	for {
+		// The cache is read under the flights' lock, so a recording
+		// that finished after a miss here has cached its stream first.
+		streamFlights.Lock()
+		if s, ok := streamCache.Get(key); ok {
+			streamFlights.Unlock()
+			return s
+		}
+		f := streamFlights.m[key]
+		if f == nil {
+			f = &streamFlight{done: make(chan struct{})}
+			streamFlights.m[key] = f
+			streamFlights.Unlock()
+			return f.fly(key, record)
+		}
+		streamFlights.Unlock()
+		<-f.done
+		if f.s != nil {
+			return f.s
+		}
 	}
-	g.bind(phase, s)
+}
+
+// fly runs the flight's recording, caches its stream, and releases the
+// waiters, also when record panics.
+func (f *streamFlight) fly(key streamKey, record func() *PhaseStream) *PhaseStream {
+	defer func() {
+		streamFlights.Lock()
+		delete(streamFlights.m, key)
+		streamFlights.Unlock()
+		close(f.done)
+	}()
+	s := record()
+	streamCache.Put(key, s)
+	f.s = s
+	return s
 }
 
 // bind makes s, phase's stream at the generator's budget, the stream

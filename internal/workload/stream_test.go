@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func TestPackedRoundTrip(t *testing.T) {
 	for _, a := range want {
 		budget += uint64(a.Gap)
 	}
-	// Two cores replaying the same records, so the pre-grow path runs.
+	// Two cores replaying the same records, so one run starts past 0.
 	idx := make([]int, 2)
 	s := RecordStream(2, budget, func(core int) Access {
 		a := want[idx[core]]
@@ -59,19 +60,65 @@ func TestFootprintLimit(t *testing.T) {
 }
 
 // The stream cache charges a stream what it holds: every array's
-// capacity, pre-grow slack included.
+// capacity, slack included. Recordings are exactly sized, so the slack
+// here comes from RecordStream's append growth.
 func TestStreamBytesCountsCapacity(t *testing.T) {
-	g := mustGen(t, "TC", 16, 4)
-	s := g.PhaseStream(0, 20_000)
+	s := RecordStream(3, 1000, func(int) Access { return Access{Gap: 1} })
+	if cap(s.GapM1) == len(s.GapM1) || cap(s.Words) == len(s.Words) {
+		t.Fatal("append growth left no slack; the test no longer tells cap from len")
+	}
 	want := int64(cap(s.Off))*4 + int64(cap(s.GapM1))*2 + int64(cap(s.Words))*4
 	if got := s.bytes(); got != want {
 		t.Fatalf("bytes() = %d, want %d", got, want)
 	}
-	if cap(s.Words) == len(s.Words) {
-		t.Fatal("recording left no pre-grow slack; the test no longer tells cap from len")
+	key := streamKey{sig: t.Name()}
+	before := StreamCache().ResidentBytes
+	if got := loadOnce(key, func() *PhaseStream { return s }); got != s {
+		t.Fatal("loadOnce did not return the stream it recorded")
 	}
-	if StreamCache().ResidentBytes < want {
-		t.Fatalf("stream cache holds %d bytes, less than one stream's %d", StreamCache().ResidentBytes, want)
+	defer streamCache.Delete(key)
+	if held := StreamCache().ResidentBytes - before; held != want {
+		t.Fatalf("stream cache charged %d bytes for a stream of %d", held, want)
+	}
+}
+
+// Two generators that miss the same stream at once share one
+// recording: each phase is recorded once, and both generators replay
+// the one stream.
+func TestConcurrentLoadsRecordOnce(t *testing.T) {
+	spec, err := ByName("TC", 0.125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed ^= 0x5F11647 // a stream no other test has cached
+	const budget = 200_000
+	for phase := 0; phase < 4; phase++ {
+		var gens [2]*Generator
+		for i := range gens {
+			if gens[i], err = NewGenerator(spec, 16, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := StreamRecordings()
+		var streams [2]*PhaseStream
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, g := range gens {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				streams[i] = g.PhaseStream(phase, budget)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := StreamRecordings() - before; n != 1 {
+			t.Fatalf("phase %d recorded %d times by two concurrent loads, want once", phase, n)
+		}
+		if streams[0] != streams[1] {
+			t.Fatalf("phase %d: the two generators replay different streams", phase)
+		}
 	}
 }
 
