@@ -21,6 +21,8 @@
 package coherence
 
 import (
+	"math/bits"
+
 	"starnuma/internal/topology"
 )
 
@@ -63,9 +65,10 @@ type Result struct {
 	Outcome Outcome
 	// Owner is the socket that supplies data for a block transfer.
 	Owner topology.NodeID
-	// Invalidate lists sockets whose cached copies a write must
-	// invalidate (excluding the requester and the owner).
-	Invalidate []topology.NodeID
+	// Invalidate is the set of sockets whose cached copies a write must
+	// invalidate, bit s for socket s (excluding the requester and the
+	// owner).
+	Invalidate uint32
 }
 
 type entry struct {
@@ -224,14 +227,11 @@ func (d *Directory) Access(s topology.NodeID, block uint64, write bool, homeIsPo
 
 	if write {
 		// Invalidate all other sharers.
-		for i := 0; i < d.sockets; i++ {
-			other := uint32(1) << uint(i)
-			if e.sharers&other != 0 && topology.NodeID(i) != s && topology.NodeID(i) != res.Owner {
-				//starnumavet:allow hotalloc bounded by the socket count (≤16) and only on write-to-shared, the rare coherence case
-				res.Invalidate = append(res.Invalidate, topology.NodeID(i))
-				d.invalidations++
-			}
+		res.Invalidate = e.sharers &^ bit
+		if res.Owner >= 0 {
+			res.Invalidate &^= uint32(1) << uint(res.Owner)
 		}
+		d.invalidations += uint64(bits.OnesCount32(res.Invalidate))
 		d.store(block, entry{sharers: bit, owner: int16(s)})
 	} else {
 		newOwner := int16(-1)

@@ -9,7 +9,7 @@ import (
 func TestColdReadGoesToMemory(t *testing.T) {
 	d := NewDirectory(16)
 	r := d.Access(0, 100, false, false)
-	if r.Outcome != Memory || r.Owner != -1 || len(r.Invalidate) != 0 {
+	if r.Outcome != Memory || r.Owner != -1 || r.Invalidate != 0 {
 		t.Fatalf("cold read: %+v", r)
 	}
 	if d.Sharers(100) != 1 {
@@ -54,8 +54,11 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	d.Access(2, 300, false, false)
 	d.Access(3, 300, false, false)
 	r := d.Access(4, 300, true, false)
-	if len(r.Invalidate) != 3 {
-		t.Fatalf("invalidate list = %v", r.Invalidate)
+	if r.Invalidate != 1<<1|1<<2|1<<3 {
+		t.Fatalf("invalidate set = %#b", r.Invalidate)
+	}
+	if n := d.Stats().Invalidations; n != 3 {
+		t.Fatalf("invalidations = %d", n)
 	}
 	if d.Sharers(300) != 1 {
 		t.Fatalf("sharers after write = %d", d.Sharers(300))
@@ -71,7 +74,7 @@ func TestWriteByOwnerNoTransfer(t *testing.T) {
 	d := NewDirectory(16)
 	d.Access(5, 400, true, false)
 	r := d.Access(5, 400, true, false)
-	if r.Outcome != Memory || len(r.Invalidate) != 0 {
+	if r.Outcome != Memory || r.Invalidate != 0 {
 		t.Fatalf("owner re-write: %+v", r)
 	}
 }
@@ -141,13 +144,17 @@ func TestInvalidateExcludesOwnerAndRequester(t *testing.T) {
 	d.Access(2, 700, false, false)
 	// Now shared by {1,2}, clean. Socket 1 writes again.
 	r := d.Access(1, 700, true, false)
-	for _, s := range r.Invalidate {
-		if s == 1 {
-			t.Fatalf("requester in invalidate list: %v", r.Invalidate)
-		}
+	if r.Invalidate&(1<<1) != 0 {
+		t.Fatalf("requester in invalidate set: %#b", r.Invalidate)
 	}
-	if len(r.Invalidate) != 1 || r.Invalidate[0] != 2 {
-		t.Fatalf("invalidate = %v", r.Invalidate)
+	if r.Invalidate != 1<<2 {
+		t.Fatalf("invalidate = %#b", r.Invalidate)
+	}
+	// A write to a block dirty in another socket takes it by the
+	// transfer itself: the owner is not invalidated separately.
+	d.Access(5, 701, true, false)
+	if r := d.Access(6, 701, true, false); r.Owner != 5 || r.Invalidate != 0 {
+		t.Fatalf("write to a remote dirty block: %+v", r)
 	}
 }
 

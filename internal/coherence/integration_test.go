@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -27,8 +28,8 @@ func TestDirectoryTracksLLCs(t *testing.T) {
 		write := rng.Intn(4) == 0
 
 		res := dir.Access(s, block, write, rng.Intn(2) == 0)
-		for _, tgt := range res.Invalidate {
-			llcs[tgt].Invalidate(block)
+		for m := res.Invalidate; m != 0; m &= m - 1 {
+			llcs[bits.TrailingZeros32(m)].Invalidate(block)
 		}
 		if write && res.Owner >= 0 {
 			llcs[res.Owner].Invalidate(block) // RFO: ownership transfer
@@ -78,8 +79,8 @@ func TestTransferOwnerIsCachingRemote(t *testing.T) {
 				t.Fatalf("op %d: owner %d does not cache block %d", i, res.Owner, block)
 			}
 		}
-		for _, tgt := range res.Invalidate {
-			llcs[tgt].Invalidate(block)
+		for m := res.Invalidate; m != 0; m &= m - 1 {
+			llcs[bits.TrailingZeros32(m)].Invalidate(block)
 		}
 		if write && res.Owner >= 0 {
 			llcs[res.Owner].Invalidate(block)

@@ -90,16 +90,16 @@ func checkIngestMatchesWalk(t *testing.T, name string, gen AccessSource, sockets
 		if !slices.Equal(home, refHome) {
 			t.Fatalf("%s phase %d: homes differ from the round-robin walk", name, phase)
 		}
-		if !reflect.DeepEqual(counts.SaveState(), refCounts.SaveState()) {
+		if !reflect.DeepEqual(counts, refCounts) {
 			t.Fatalf("%s phase %d: counts or writes differ from the round-robin walk", name, phase)
 		}
 		if sig == "" {
 			continue
 		}
-		e, ok := ingestCache.Get(ingestKey{sig: sig, phase: phase})
-		if !ok {
+		e := ingestCache.Do(ingestKey{sig: sig, phase: phase}, func() *ingestEntry {
 			t.Fatalf("%s phase %d: no ingest memo entry", name, phase)
-		}
+			return nil
+		})
 		got := make(map[uint32]topology.NodeID, len(e.firstPages))
 		for i, p := range e.firstPages {
 			got[p] = e.firstHomes[i]
@@ -107,7 +107,7 @@ func checkIngestMatchesWalk(t *testing.T, name string, gen AccessSource, sockets
 		if len(got) != len(e.firstPages) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s phase %d: memo entry's first touches differ from the round-robin walk", name, phase)
 		}
-		if !reflect.DeepEqual(e.pc, refCounts.SaveState()) {
+		if !reflect.DeepEqual(e.pc, refCounts) {
 			t.Fatalf("%s phase %d: memo entry's counts differ from the round-robin walk", name, phase)
 		}
 	}

@@ -23,12 +23,13 @@ import (
 //     lands on — is the same for every variant.
 //
 // The tracker is not an ingest product: TraceSimulate derives it from
-// the phase's counts after every ingest, hit or miss
-// (PageCounts.FoldInto), so the key carries no tracker shape and
-// software-sampled runs share entries with hardware-tracked ones. The
-// memo captures, per (stream, phase), the counts snapshot plus the
-// first-touch (page, home) list; a hit replays both by array copy
-// instead of re-walking ~10^6 recorded accesses.
+// the phase's counts after every ingest (PageCounts.FoldInto), so the
+// key carries no tracker shape and software-sampled runs share entries
+// with hardware-tracked ones. The memo captures, per (stream, phase),
+// the phase's counts plus the first-touch (page, home) list, and every
+// run applies them by array copy: the run that walks the phase's ~10^6
+// recorded accesses (walkPhase) and every run that finds the entry
+// resident or waits for that walk alike.
 
 // ingestKey identifies one memoized phase ingest. sig is the source's
 // signature for its streams at the phase budget (spec, system shape,
@@ -39,7 +40,7 @@ type ingestKey struct {
 }
 
 type ingestEntry struct {
-	pc *migrate.PageCountsState
+	pc *migrate.PageCounts
 	// The phase's first-touch assignments, in page order. Each page
 	// appears once, so restoring them in any order gives the same map.
 	firstPages []uint32
@@ -60,7 +61,7 @@ const ingestCacheCap = 2 << 30
 var ingestCache = lru.New[ingestKey](ingestCacheCap, (*ingestEntry).bytes)
 
 // IngestMemo returns the counters of the process-wide step-B ingest
-// memo. Hits and Misses count lookups by phases of signed streams;
-// unsigned streams (trace-file replays) bypass the memo and count in
-// neither.
+// memo. Misses count the phases of signed streams walked, Hits those
+// served without a walk; unsigned streams (trace-file replays) bypass
+// the memo and count in neither.
 func IngestMemo() lru.Stats { return ingestCache.Stats() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"starnuma/internal/topology"
@@ -200,5 +201,56 @@ func TestStreamCacheKeepsOnlyTimedPrefixes(t *testing.T) {
 			t.Errorf("phase %d's full stream stayed resident", phase)
 		}
 		gen.ReleasePhase(phase, cfg.PhaseInstr, cfg.TimedInstr)
+	}
+}
+
+// Plans that start at once on the same fresh streams share each
+// phase's walk: the ingest memo misses each phase once, each full
+// phase is recorded once, and every plan gets the same checkpoints.
+func TestConcurrentPlansWalkEachPhaseOnce(t *testing.T) {
+	sys := StarNUMASystem()
+	cfg := tinySim()
+	cfg.Phases = 4
+	spec := tinySpec(t, "TC")
+	spec.Seed ^= 0x51F1647 // streams no other test records
+	const plans = 4
+	gens := make([]*workload.Generator, plans)
+	for i := range gens {
+		var err error
+		if gens[i], err = workload.NewGenerator(spec, topology.New(sys.Topology).Sockets(), sys.CoresPerSocket); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestCache.Reset() // a rerun of the test finds its phases walked
+	memo, recordings := IngestMemo(), workload.StreamRecordings()
+	got := make([]*Plan, plans)
+	errs := make([]error, plans)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, g := range gens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = NewPlan(sys, cfg, g)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if misses := IngestMemo().Misses - memo.Misses; misses != int64(cfg.Phases) {
+		t.Errorf("%d concurrent plans walked %d phases, want %d", plans, misses, cfg.Phases)
+	}
+	if n := workload.StreamRecordings() - recordings; n != int64(cfg.Phases) {
+		t.Errorf("%d concurrent plans recorded %d phase streams, want %d", plans, n, cfg.Phases)
+	}
+	for i, p := range got[1:] {
+		if !reflect.DeepEqual(p.Trace().Checkpoints, got[0].Trace().Checkpoints) {
+			t.Errorf("plan %d's checkpoints differ from plan 0's", i+1)
+		}
 	}
 }

@@ -84,17 +84,10 @@ type Window struct {
 //starnuma:hotpath step-C entry point, one call per (window, worker)
 func (p *Plan) RunWindow(i int, gen AccessSource) Window {
 	chk := p.tr.Checkpoints[i]
-	key, memoable := windowKeyOf(p.sys, p.cfg, gen.StreamSig(p.cfg.TimedInstr), chk, p.tr.Replicated)
-	if memoable {
-		if w, ok := recallWindow(key); ok {
-			return Window{stats: w}
-		}
+	if key, ok := windowKeyOf(p.sys, p.cfg, gen.StreamSig(p.cfg.TimedInstr), chk, p.tr.Replicated); ok {
+		return Window{stats: p.memoWindow(key, gen, chk)}
 	}
-	w := runWindow(p.sys, p.cfg, gen, chk, p.tr.Replicated)
-	if memoable {
-		storeWindow(key, w)
-	}
-	return Window{stats: w}
+	return Window{stats: runWindow(p.sys, p.cfg, gen, chk, p.tr.Replicated)}
 }
 
 // NewResult initialises the aggregate result: header fields, step-B

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -1054,7 +1055,8 @@ func (ts *timingSystem) issueAccessAfterWalk(cs *coreState, a workload.Access, i
 
 	// Invalidations: state updates immediate, traffic asynchronous
 	// (request out, acknowledgement back).
-	for _, tgt := range res.Invalidate {
+	for m := res.Invalidate; m != 0; m &= m - 1 {
+		tgt := topology.NodeID(bits.TrailingZeros32(m))
 		ts.llcs[tgt].Invalidate(block)
 		inv := ts.getTxn()
 		inv.at = now

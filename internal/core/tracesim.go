@@ -57,34 +57,44 @@ type TraceResult struct {
 }
 
 // ingestPhase replays one phase into the first-touch map and the
-// per-page counts, reading the source's recorded arrays one core at a
-// time. Only first touch depends on access order, and it is defined by
-// the cores interleaved round-robin at miss granularity (a stand-in
-// for global instruction order): round r visits every core's r-th
-// access in core order, so a page's first toucher is the core with the
-// smallest (r, core) over the phase's accesses to it. Ingests of
-// streams with a signature are memoized across variants (see
-// ingestmemo.go): a repeat of the same (stream, phase) restores the
-// recorded products by array copy and touches no stream. After a walk
-// only step C's prefix of the phase is read again, so the source is
-// told to release the rest.
+// per-page counts. The phase's products come as one ingestEntry: for a
+// source with stream signatures, from the ingest memo (see
+// ingestmemo.go), which walks each (stream, phase) once however many
+// runs ask for it, even at once; for an unsigned source, from a walk of
+// its own. Either way the entry is applied the same way: its first
+// touches claim the pages still unassigned, and its counts overwrite
+// counts.
 func ingestPhase(gen AccessSource, phase int, cfg SimConfig,
 	home []topology.NodeID, counts *migrate.PageCounts) {
-	sig := gen.StreamSig(cfg.PhaseInstr)
-	memoable := sig != ""
-	key := ingestKey{sig: sig, phase: phase}
-	if memoable {
-		if e, ok := ingestCache.Get(key); ok {
-			for i, p := range e.firstPages {
-				if home[p] == Unassigned {
-					home[p] = e.firstHomes[i]
-				}
-			}
-			counts.LoadState(e.pc)
-			return
+	walk := func() *ingestEntry { return walkPhase(gen, phase, cfg, home, counts.Sockets()) }
+	var e *ingestEntry
+	if sig := gen.StreamSig(cfg.PhaseInstr); sig != "" {
+		e = ingestCache.Do(ingestKey{sig: sig, phase: phase}, walk)
+	} else {
+		e = walk()
+	}
+	for i, p := range e.firstPages {
+		if home[p] == Unassigned {
+			home[p] = e.firstHomes[i]
 		}
 	}
+	counts.CopyFrom(e.pc)
+}
+
+// walkPhase walks one phase of gen's recorded arrays, one core at a
+// time, into a fresh ingest entry: the phase's per-page counts, and the
+// first toucher's socket of every page home leaves unassigned. Only
+// first touch depends on access order, and it is defined by the cores
+// interleaved round-robin at miss granularity (a stand-in for global
+// instruction order): round r visits every core's r-th access in core
+// order, so a page's first toucher is the core with the smallest
+// (r, core) over the phase's accesses to it. After the walk only step
+// C's prefix of the phase is read again, so the source is told to
+// release the rest.
+func walkPhase(gen AccessSource, phase int, cfg SimConfig,
+	home []topology.NodeID, sockets int) *ingestEntry {
 	s := gen.PhaseStream(phase, cfg.PhaseInstr)
+	counts := migrate.NewPageCounts(len(home), sockets)
 	// first[p] is page p's earliest touch so far. Cores run in
 	// ascending order, so the strict < keeps the lower core on a tie.
 	first := make([]firstTouch, len(home))
@@ -102,23 +112,16 @@ func ingestPhase(gen AccessSource, phase int, cfg SimConfig,
 			}
 		}
 	}
-	var firstPages []uint32
-	var firstHomes []topology.NodeID
+	e := &ingestEntry{pc: counts}
 	for p, f := range first {
 		if f.round == untouched || home[p] != Unassigned {
 			continue
 		}
-		home[p] = topology.NodeID(f.sock)
-		if memoable {
-			firstPages = append(firstPages, uint32(p))
-			firstHomes = append(firstHomes, home[p])
-		}
-	}
-	if memoable {
-		ingestCache.Put(key, &ingestEntry{pc: counts.SaveState(),
-			firstPages: firstPages, firstHomes: firstHomes})
+		e.firstPages = append(e.firstPages, uint32(p))
+		e.firstHomes = append(e.firstHomes, topology.NodeID(f.sock))
 	}
 	gen.ReleasePhase(phase, cfg.PhaseInstr, cfg.TimedInstr)
+	return e
 }
 
 // firstTouch is a page's earliest access in a phase: its round (index
@@ -221,7 +224,6 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	res.Checkpoints = append(res.Checkpoints, Checkpoint{Phase: 0, PageHome: snap0})
 
 	for phase := 0; phase < cfg.Phases; phase++ {
-		counts.Reset()
 		if sampler != nil {
 			sampler.ResetPhase(phase)
 		} else {

@@ -113,8 +113,9 @@ const windowMemoCap = 64 << 20
 var windowMemo = lru.New[windowKey](windowMemoCap, windowStats.bytes)
 
 // WindowMemo returns the counters of the process-wide step-C window
-// memo. Hits and Misses count lookups by memoizable windows; traced
-// windows and unsigned streams bypass the memo and count in neither.
+// memo. Misses count the memoizable windows simulated, Hits those
+// recalled; traced windows and unsigned streams bypass the memo and
+// count in neither.
 func WindowMemo() lru.Stats { return windowMemo.Stats() }
 
 // ResetWindowMemo drops every memoized window; the counters keep
@@ -122,22 +123,14 @@ func WindowMemo() lru.Stats { return windowMemo.Stats() }
 // compare simulates its windows instead of recalling them.
 func ResetWindowMemo() { windowMemo.Reset() }
 
-// recallWindow returns a private copy of the stats memoized under key.
-// Entries are immutable once stored, so copying outside the memo's
-// lock is safe even if the entry is evicted meanwhile.
+// memoWindow returns a private copy of the window memoized under key,
+// simulating it on a miss; concurrent callers of one key share one
+// simulation. The memo keeps the simulated stats themselves, and every
+// caller copies what it gets, so one copy is made per call, hit or miss.
 //
 //starnuma:coldpath once per memoizable window
-func recallWindow(key windowKey) (windowStats, bool) {
-	w, ok := windowMemo.Get(key)
-	if !ok {
-		return windowStats{}, false
-	}
-	return w.clone(), true
-}
-
-// storeWindow memoizes a private copy of w under key.
-//
-//starnuma:coldpath once per simulated memoizable window
-func storeWindow(key windowKey, w windowStats) {
-	windowMemo.Put(key, w.clone())
+func (p *Plan) memoWindow(key windowKey, gen AccessSource, chk Checkpoint) windowStats {
+	return windowMemo.Do(key, func() windowStats {
+		return runWindow(p.sys, p.cfg, gen, chk, p.tr.Replicated)
+	}).clone()
 }

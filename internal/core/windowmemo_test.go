@@ -171,11 +171,10 @@ func TestWindowKeySensitivity(t *testing.T) {
 // memoEntry returns the resident memo value for key itself, not a copy.
 func memoEntry(t *testing.T, key windowKey) windowStats {
 	t.Helper()
-	w, ok := windowMemo.Get(key)
-	if !ok {
+	return windowMemo.Do(key, func() windowStats {
 		t.Fatal("window is not resident")
-	}
-	return w
+		return windowStats{}
+	})
 }
 
 // fingerprint renders everything reachable from w, independently of

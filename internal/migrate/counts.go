@@ -138,36 +138,20 @@ func (c *PageCounts) FoldInto(t *tracker.Table, keep func(region int) bool) {
 	}
 }
 
-// PageCountsState is a snapshot of a PageCounts, immutable once taken:
-// SaveState copies out and LoadState copies in, so one state may be
-// loaded into many counters.
-type PageCountsState struct {
-	counts []uint32
-	writes []uint32
+// Bytes returns the counters' heap footprint, for size-bounded caches.
+func (c *PageCounts) Bytes() int64 {
+	return int64(len(c.counts))*4 + int64(len(c.writes))*4
 }
 
-// Bytes returns the snapshot's approximate heap footprint, for
-// size-bounded caches.
-func (st *PageCountsState) Bytes() int64 {
-	return int64(len(st.counts))*4 + int64(len(st.writes))*4
-}
-
-// SaveState captures the counters' current values.
-func (c *PageCounts) SaveState() *PageCountsState {
-	return &PageCountsState{
-		counts: append([]uint32(nil), c.counts...),
-		writes: append([]uint32(nil), c.writes...),
+// CopyFrom overwrites the counters with src's, which must have the same
+// shape; it panics otherwise. src is only read, so one PageCounts may
+// be copied into many.
+func (c *PageCounts) CopyFrom(src *PageCounts) {
+	if len(src.counts) != len(c.counts) || len(src.writes) != len(c.writes) {
+		panic("migrate: CopyFrom shape mismatch")
 	}
-}
-
-// LoadState overwrites the counters with a snapshot taken from a
-// PageCounts of the same shape. It panics on a shape mismatch.
-func (c *PageCounts) LoadState(st *PageCountsState) {
-	if len(st.counts) != len(c.counts) || len(st.writes) != len(c.writes) {
-		panic("migrate: LoadState shape mismatch")
-	}
-	copy(c.counts, st.counts)
-	copy(c.writes, st.writes)
+	copy(c.counts, src.counts)
+	copy(c.writes, src.writes)
 }
 
 // AddInto accumulates this phase's counts into dst (whole-run totals for

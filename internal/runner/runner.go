@@ -171,10 +171,10 @@ func (r *Runner) compute(label string, sys core.SystemConfig, cfg core.SimConfig
 		return nil, err
 	}
 	sockets := topology.New(sys.Topology).Sockets()
-	// Generators come from the workload pool: their drift tables and
-	// recorded phase streams are expensive to rebuild, and every window
-	// of a run draws the identical streams regardless of which pooled
-	// instance serves it.
+	// Generators come from the workload pool: their page and drift
+	// tables are expensive to rebuild, and every window of a run reads
+	// the identical streams, shared through the stream cache, regardless
+	// of which pooled instance serves it.
 	newGen := func() (*workload.Generator, error) {
 		return workload.AcquireGenerator(spec, sockets, sys.CoresPerSocket)
 	}

@@ -343,7 +343,7 @@ const MaxGap = 1 << 16
 // kernel otherwise. Both paths yield bit-identical streams — replay is
 // a recording of the very draws the kernel makes.
 //
-//starnuma:hotpath one call per simulated LLC miss, in both step B and step C
+//starnuma:hotpath one call per sampled LLC miss, in the sharing figure and perfbench's component replay
 func (g *Generator) Next(core int) Access {
 	if s := g.stream; s != nil {
 		i := g.cursor[core]

@@ -24,8 +24,8 @@ import (
 // ingested it: ReleasePhase then swaps it for its prefix at the timed
 // budget (PhaseStream.Prefix), which is all the windows read.
 // Generators record in parallel over cores into exactly sized arrays
-// (Generator.record, draw.go), and callers that miss the same stream
-// at once share one recording (loadOnce).
+// (Generator.record, draw.go). The cache is an lru.Memo, so callers
+// that miss the same stream at once share one recording.
 //
 // Generator pool: runner workers previously built a fresh Generator per
 // window, re-deriving page→class and page→sharer assignments each time.
@@ -229,84 +229,27 @@ func (g *Generator) StreamSig(budget uint64) string {
 // ReleasePhase implements core.AccessSource. When the generator is
 // bound to phase's stream at budget, as PhaseStream leaves it, and keep
 // is below budget, the stream cache swaps that stream for its prefix at
-// keep, and the generator is left bound to the prefix, as
-// PhaseStream(phase, keep) would leave it. Otherwise it does nothing.
+// keep, cutting the prefix only if it is not resident yet, and the
+// generator is left bound to the cached prefix, as PhaseStream(phase,
+// keep) would leave it. Otherwise it does nothing.
 func (g *Generator) ReleasePhase(phase int, budget, keep uint64) {
 	if g.stream == nil || g.budget != budget || g.streamPhase != phase || keep >= budget {
 		return
 	}
-	full := streamKey{sig: g.sig, phase: phase}
-	prefix := g.stream.Prefix(keep)
+	full, s := streamKey{sig: g.sig, phase: phase}, g.stream
 	g.SetPhaseBudget(keep)
-	streamCache.Put(streamKey{sig: g.sig, phase: phase}, prefix)
+	g.bind(phase, streamCache.Do(streamKey{sig: g.sig, phase: phase},
+		func() *PhaseStream { return s.Prefix(keep) }))
 	streamCache.Delete(full)
-	g.bind(phase, prefix)
 }
 
 // loadStream points the generator at the cached stream for phase,
-// recording it on a cache miss. Recording consumes the per-core RNG
-// streams, which is safe because replay mode never touches them again
-// this phase.
+// recording it on a cache miss; concurrent loads of one stream share
+// one recording. Recording consumes the per-core RNG streams, which is
+// safe because replay mode never touches them again this phase.
 func (g *Generator) loadStream(phase int) {
 	key := streamKey{sig: g.sig, phase: phase}
-	g.bind(phase, loadOnce(key, func() *PhaseStream { return g.record(g.budget) }))
-}
-
-// streamFlight is one recording in progress; done closes once s is set,
-// or once the recording has failed with s nil.
-type streamFlight struct {
-	done chan struct{}
-	s    *PhaseStream
-}
-
-// streamFlights holds the recordings in progress by key.
-var streamFlights = struct {
-	sync.Mutex
-	m map[streamKey]*streamFlight
-}{m: make(map[streamKey]*streamFlight)}
-
-// loadOnce returns key's stream from the stream cache, calling record
-// on a miss and caching what it returns. Concurrent callers that miss
-// the same key share one recording: the first records, the others wait
-// for it and return its stream, even if the cache has since dropped or
-// replaced it. If the recording panics, its waiters try again.
-func loadOnce(key streamKey, record func() *PhaseStream) *PhaseStream {
-	for {
-		// The cache is read under the flights' lock, so a recording
-		// that finished after a miss here has cached its stream first.
-		streamFlights.Lock()
-		if s, ok := streamCache.Get(key); ok {
-			streamFlights.Unlock()
-			return s
-		}
-		f := streamFlights.m[key]
-		if f == nil {
-			f = &streamFlight{done: make(chan struct{})}
-			streamFlights.m[key] = f
-			streamFlights.Unlock()
-			return f.fly(key, record)
-		}
-		streamFlights.Unlock()
-		<-f.done
-		if f.s != nil {
-			return f.s
-		}
-	}
-}
-
-// fly runs the flight's recording, caches its stream, and releases the
-// waiters, also when record panics.
-func (f *streamFlight) fly(key streamKey, record func() *PhaseStream) *PhaseStream {
-	defer func() {
-		streamFlights.Lock()
-		delete(streamFlights.m, key)
-		streamFlights.Unlock()
-		close(f.done)
-	}()
-	s := record()
-	streamCache.Put(key, s)
-	f.s = s
-	return s
+	g.bind(phase, streamCache.Do(key, func() *PhaseStream { return g.record(g.budget) }))
 }
 
 // bind makes s, phase's stream at the generator's budget, the stream

@@ -73,8 +73,8 @@ func TestStreamBytesCountsCapacity(t *testing.T) {
 	}
 	key := streamKey{sig: t.Name()}
 	before := StreamCache().ResidentBytes
-	if got := loadOnce(key, func() *PhaseStream { return s }); got != s {
-		t.Fatal("loadOnce did not return the stream it recorded")
+	if got := streamCache.Do(key, func() *PhaseStream { return s }); got != s {
+		t.Fatal("the stream cache did not return the stream it recorded")
 	}
 	defer streamCache.Delete(key)
 	if held := StreamCache().ResidentBytes - before; held != want {
@@ -119,6 +119,8 @@ func TestConcurrentLoadsRecordOnce(t *testing.T) {
 		if streams[0] != streams[1] {
 			t.Fatalf("phase %d: the two generators replay different streams", phase)
 		}
+		// A rerun of the test must record the stream again.
+		streamCache.Delete(streamKey{sig: gens[0].StreamSig(budget), phase: phase})
 	}
 }
 
