@@ -135,7 +135,7 @@ func TestAttribConservationMigrationStall(t *testing.T) {
 	}
 	w := runWindow(BaselineSystem(), cfg, src, chk, nil)
 	p := checkConserved(t, w)
-	if w.migrStalled == 0 {
+	if w.MigrStalledAccesses == 0 {
 		t.Fatal("no accesses stalled behind migrations")
 	}
 	if catTotal(p, attrib.Migration) == 0 {
@@ -162,7 +162,7 @@ func TestAttribConservationDrain(t *testing.T) {
 	}
 	w := runWindow(BaselineSystem(), cfg, src, chk, nil)
 	p := checkConserved(t, w)
-	if w.migrStalled == 0 {
+	if w.MigrStalledAccesses == 0 {
 		t.Fatal("no accesses stalled behind the drain")
 	}
 	if catTotal(p, attrib.Drain) == 0 {
@@ -187,7 +187,7 @@ func TestAttribConservationSoftwareTracking(t *testing.T) {
 	cfg.SoftwareTracking = SoftwareTrackingConfig{Enable: true, SampleFrac: 1, FaultPenaltyCycles: 3000}
 	w := runWindow(BaselineSystem(), cfg, src, Checkpoint{PageHome: homesAll(32, 0)}, nil)
 	p := checkConserved(t, w)
-	if w.pageFaults == 0 {
+	if w.PageFaults == 0 {
 		t.Fatal("software tracking took no page faults")
 	}
 	if catTotal(p, attrib.TLB) == 0 {
@@ -206,7 +206,7 @@ func TestAttribConservationReplication(t *testing.T) {
 	replicated[0] = true
 	w := runWindow(BaselineSystem(), cfg, src, Checkpoint{PageHome: homesAll(16, 3)}, replicated)
 	p := checkConserved(t, w)
-	if w.replicaWriteStalls == 0 {
+	if w.ReplicaWriteStalls == 0 {
 		t.Fatal("no replica write stalls")
 	}
 	if catTotal(p, attrib.Replication) == 0 {
@@ -225,7 +225,7 @@ func TestAttribConservationFaultRetry(t *testing.T) {
 	chk := Checkpoint{Phase: 1, PageHome: homesAll(16, topo.PoolNode())}
 	w := runWindow(sys, cfg, src, chk, nil)
 	p := checkConserved(t, w)
-	if w.faultRetries == 0 {
+	if w.FaultFlapRetries == 0 {
 		t.Fatal("flap plan produced no retries")
 	}
 	if catTotal(p, attrib.FaultRetry) == 0 {

@@ -286,12 +286,10 @@ type SimConfig struct {
 	// profile alongside the rest of the Result.
 	Attrib bool `json:",omitempty"`
 
-	// ModelTLB enables the translation subsystem: per-core TLBs, the
-	// shared TLB directory for targeted shootdowns (§III-D3), and
-	// page-walk penalties for shootdown-invalidated translations.
-	ModelTLB bool
 	// PageWalkPenalty is the latency charged for a shootdown-induced
-	// page walk (§IV-C: "TLB misses trigger page walks").
+	// page walk (§IV-C: "TLB misses trigger page walks"). Step C always
+	// models the translation subsystem: per-core TLBs and the shared TLB
+	// directory for targeted shootdowns (§III-D3).
 	PageWalkPenalty sim.Time
 }
 
@@ -323,7 +321,6 @@ func DefaultSim() SimConfig {
 		Policy:              PolicyStarNUMA,
 		Migration:           migrate.AutoConfig(),
 		MigrationCostCycles: 3000,
-		ModelTLB:            true,
 		PageWalkPenalty:     100 * sim.Nanosecond,
 	}
 }

@@ -73,9 +73,6 @@ func TestDefaultSimMethodology(t *testing.T) {
 	if c.MigrationCostCycles != 3000 {
 		t.Errorf("migration cost = %d cycles, want 3000 (§IV-C)", c.MigrationCostCycles)
 	}
-	if !c.ModelTLB {
-		t.Error("TLB modelling should default on")
-	}
 }
 
 func TestUnassignedSentinel(t *testing.T) {

@@ -451,7 +451,7 @@ func TestSpeedupAndCoherenceInterval(t *testing.T) {
 	if Speedup(a, &Result{}) != 0 {
 		t.Fatal("Speedup by zero")
 	}
-	r := &Result{SimulatedTime: 1000 * sim.Nanosecond}
+	r := &Result{Counters: Counters{SimulatedTime: 1000 * sim.Nanosecond}}
 	r.Dir.Transactions = 10
 	if r.CoherenceTxnIntervalNS() != 100 {
 		t.Fatal("txn interval wrong")
@@ -505,19 +505,6 @@ func TestTLBModelingObservesShootdowns(t *testing.T) {
 	// (64 cores x shootdowns).
 	if r.TLB.ShootdownTargets >= r.TLB.Shootdowns*64 {
 		t.Fatalf("shootdowns look like broadcasts: %+v", r.TLB)
-	}
-}
-
-func TestTLBModelingCanBeDisabled(t *testing.T) {
-	spec := tinySpec(t, "CC")
-	cfg := tinySim()
-	cfg.ModelTLB = false
-	r, err := Run(StarNUMASystem(), cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TLB.Walks != 0 || r.TLB.Shootdowns != 0 {
-		t.Fatalf("TLB stats with modelling disabled: %+v", r.TLB)
 	}
 }
 

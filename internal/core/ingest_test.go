@@ -77,12 +77,10 @@ func checkIngestMatchesWalk(t *testing.T, name string, gen AccessSource, sockets
 		home[p] = Unassigned
 	}
 	refHome := slices.Clone(home)
-	counts := migrate.NewPageCounts(pages, sockets)
-	refCounts := migrate.NewPageCounts(pages, sockets)
 	sig := gen.StreamSig(cfg.PhaseInstr)
 	for phase := 0; phase < cfg.Phases; phase++ {
-		counts.Reset()
-		refCounts.Reset()
+		counts := migrate.NewPageCounts(pages, sockets)
+		refCounts := migrate.NewPageCounts(pages, sockets)
 		// The reference reads the full stream before ingestPhase
 		// releases it to its prefix.
 		want := refIngest(gen, phase, cfg.PhaseInstr, refHome, refCounts)
@@ -258,7 +256,6 @@ func BenchmarkIngestPhase(b *testing.B) {
 		for p := range home {
 			home[p] = Unassigned
 		}
-		counts.Reset()
 		b.StartTimer()
 		ingestPhase(src, 0, cfg, home, counts)
 	}
@@ -290,7 +287,7 @@ func BenchmarkRunWindow(b *testing.B) {
 	b.ResetTimer()
 	var misses uint64
 	for i := 0; i < b.N; i++ {
-		misses += plan.RunWindow(0, src).stats.misses
+		misses += plan.RunWindow(0, src).stats.Misses
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(misses), "ns/miss")
 }

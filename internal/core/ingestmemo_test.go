@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"starnuma/internal/topology"
@@ -146,6 +147,11 @@ func TestIngestMemoSharedAcrossTrackerShapes(t *testing.T) {
 	}
 }
 
+// prefixRuns counts the runs of TestStreamCacheKeepsOnlyTimedPrefixes
+// in this process. Its checks read process-wide caches, so each run
+// (-count=N reruns included) draws streams no earlier run recorded.
+var prefixRuns atomic.Uint64
+
 // After step B and every window of a quick plan, the stream cache holds
 // only the windows' prefixes: step B swapped each full phase for its
 // timed prefix once it was ingested. A second plan over the same
@@ -155,7 +161,7 @@ func TestStreamCacheKeepsOnlyTimedPrefixes(t *testing.T) {
 	sys := StarNUMASystem()
 	cfg := QuickSim()
 	spec := tinySpec(t, "BFS")
-	spec.Seed ^= 0x5eed // streams no other test records
+	spec.Seed ^= 0x5eed ^ prefixRuns.Add(1)<<32 // streams no other test or run records
 	run := func() {
 		p, newGen := planFor(t, sys, cfg, spec)
 		for i := 0; i < p.NumWindows(); i++ {

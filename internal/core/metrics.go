@@ -20,12 +20,14 @@ func metricName(s string) string {
 // metrics registry at the end of the timing simulation. phase is the
 // checkpoint phase, used as the sim-time bucket for series points so
 // merged snapshots line up per phase. Reads only — harvesting never
-// perturbs simulation state.
+// perturbs simulation state. The window's own totals come from ts.w,
+// which runWindow fills before harvesting.
 //
 //starnuma:coldpath once-per-window metrics drain
 func (ts *timingSystem) harvest(phase int) {
 	m := ts.met
 	t := int64(phase)
+	w := &ts.w
 
 	// Scheduler.
 	m.Add("sim/events_fired", ts.eng.Fired())
@@ -39,7 +41,7 @@ func (ts *timingSystem) harvest(phase int) {
 		m.Add(name+"/tx_bytes", st.Bytes)
 		m.Add(name+"/busy_ps", uint64(st.BusyTime))
 		m.Add(name+"/queued_ps", uint64(st.QueuedTime))
-		m.Point(name+"/util", t, l.Utilization(ts.w.simTime))
+		m.Point(name+"/util", t, l.Utilization(w.SimulatedTime))
 	}
 
 	// Memory controllers, per channel.
@@ -64,29 +66,25 @@ func (ts *timingSystem) harvest(phase int) {
 	}
 
 	// Coherence directory.
-	dir := ts.dir.Stats()
-	m.Add("coherence/transactions", dir.Transactions)
-	m.Add("coherence/bt_3hop", dir.BT3Hop)
-	m.Add("coherence/bt_4hop", dir.BT4Hop)
-	m.Add("coherence/invalidations", dir.Invalidations)
+	m.Add("coherence/transactions", w.Dir.Transactions)
+	m.Add("coherence/bt_3hop", w.Dir.BT3Hop)
+	m.Add("coherence/bt_4hop", w.Dir.BT4Hop)
+	m.Add("coherence/invalidations", w.Dir.Invalidations)
 
 	// Translation subsystem.
-	if ts.tlbs != nil {
-		st := ts.tlbs.Stats()
-		m.Add("tlb/hits", st.Hits)
-		m.Add("tlb/walks", st.Walks)
-		m.Add("tlb/shootdown_walks", st.ShootdownWalks)
-		m.Add("tlb/shootdowns", st.Shootdowns)
-		m.Add("tlb/shootdown_targets", st.ShootdownTargets)
-		m.Point("tlb/shootdowns_per_phase", t, float64(st.Shootdowns))
-	}
+	m.Add("tlb/hits", w.TLB.Hits)
+	m.Add("tlb/walks", w.TLB.Walks)
+	m.Add("tlb/shootdown_walks", w.TLB.ShootdownWalks)
+	m.Add("tlb/shootdowns", w.TLB.Shootdowns)
+	m.Add("tlb/shootdown_targets", w.TLB.ShootdownTargets)
+	m.Point("tlb/shootdowns_per_phase", t, float64(w.TLB.Shootdowns))
 
 	// Fault injection; only when a schedule is active, so fault-free
 	// manifests carry no fault/* keys.
 	if ts.sched != nil {
-		m.Add("fault/link/degraded_sends", ts.w.faultDegraded)
-		m.Add("fault/link/flap_retries", ts.w.faultRetries)
-		m.Add("fault/link/retry_ps", uint64(ts.w.faultRetryPS))
+		m.Add("fault/link/degraded_sends", w.FaultDegradedSends)
+		m.Add("fault/link/flap_retries", w.FaultFlapRetries)
+		m.Add("fault/link/retry_ps", uint64(w.faultRetryPS))
 		m.Point("fault/events_active", t, float64(ts.sched.Active(phase)))
 		if ts.topo.HasPool() {
 			m.Point("fault/pool/channels_down", t,
@@ -95,18 +93,14 @@ func (ts *timingSystem) harvest(phase int) {
 	}
 
 	// Migration and study counters surfaced by the window itself.
-	m.Add("migrate/stalled_accesses", ts.w.migrStalled)
-	m.Point("migrate/modeled", t, float64(ts.w.migrModeled))
-	m.Add("replica/reads", ts.w.replicaReads)
-	m.Add("replica/write_stalls", ts.w.replicaWriteStalls)
-	m.Add("tracker/page_faults", ts.w.pageFaults)
+	m.Add("migrate/stalled_accesses", w.MigrStalledAccesses)
+	m.Point("migrate/modeled", t, float64(w.migrModeled))
+	m.Add("replica/reads", w.ReplicaReads)
+	m.Add("replica/write_stalls", w.ReplicaWriteStalls)
+	m.Add("tracker/page_faults", w.PageFaults)
 
 	// Core aggregates per phase.
-	m.Point("core/sim_time_ns", t, ts.w.simTime.Nanos())
-	var instr uint64
-	for _, cs := range ts.cores {
-		instr += cs.instr - cs.warmupInstr
-	}
-	m.Point("core/instructions", t, float64(instr))
-	m.Point("core/misses", t, float64(ts.w.misses))
+	m.Point("core/sim_time_ns", t, w.SimulatedTime.Nanos())
+	m.Point("core/instructions", t, float64(w.Instructions))
+	m.Point("core/misses", t, float64(w.Misses))
 }

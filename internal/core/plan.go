@@ -7,6 +7,7 @@ import (
 	"starnuma/internal/attrib"
 	"starnuma/internal/evtrace"
 	"starnuma/internal/metrics"
+	"starnuma/internal/sim"
 	"starnuma/internal/stats"
 	"starnuma/internal/topology"
 	"starnuma/internal/workload"
@@ -67,7 +68,7 @@ func (p *Plan) Checkpoint(i int) Checkpoint { return p.tr.Checkpoints[i] }
 func (p *Plan) Trace() *TraceResult { return p.tr }
 
 // Window is one step-C timing window's measurements, produced by
-// RunWindow and folded into a Result by MergeWindow. It is opaque: the
+// RunWindow and folded into a Result by Assemble. It is opaque: the
 // accumulation rules live in core, callers only route windows around.
 type Window struct {
 	stats windowStats
@@ -90,99 +91,67 @@ func (p *Plan) RunWindow(i int, gen AccessSource) Window {
 	return Window{stats: runWindow(p.sys, p.cfg, gen, chk, p.tr.Replicated)}
 }
 
-// NewResult initialises the aggregate result: header fields, step-B
-// summaries, and the AMAT accumulator with the plan's unloaded-latency
-// constants. Windows are then folded in with MergeWindow.
-func (p *Plan) NewResult() *Result {
+// Assemble merges the windows, indexed by checkpoint, into the run's
+// Result, and computes the derived aggregates (IPC, MPKI, replication
+// and pool placement counts). Windows merge in slice order: the counters
+// are integer sums, but the float mean of the per-core IPC samples is
+// order-sensitive, so checkpoint order gives bit-identical Results
+// however the windows were executed. A degenerate run with no windows
+// (or windows that retired nothing) yields zero aggregates, never NaN.
+func (p *Plan) Assemble(windows []Window) *Result {
+	topo := topology.New(p.sys.Topology)
 	res := &Result{
-		Workload:       p.spec.Name,
-		Policy:         p.cfg.Policy,
-		Tracker:        p.cfg.Tracker.String(),
-		AMAT:           stats.NewAMAT(),
-		MigrStats:      p.tr.MigrStats,
-		TrackerFlushes: p.tr.TrackerFlushes,
-		Metrics:        p.tr.Metrics.Clone(),
-
+		Workload:          p.spec.Name,
+		Policy:            p.cfg.Policy,
+		Tracker:           p.cfg.Tracker.String(),
+		AMAT:              stats.NewAMAT(),
+		MigrStats:         p.tr.MigrStats,
+		TrackerFlushes:    p.tr.TrackerFlushes,
 		FaultDrainedPages: p.tr.DrainedPages,
+		Metrics:           p.tr.Metrics.Clone(),
+	}
+	res.AMAT.SetUnloadedLatencies(unloadedLatencies(topo,
+		p.sys.SocketMem.OnChip+p.sys.SocketMem.DRAMLatency))
+	if p.cfg.Attrib {
+		res.Profile = attrib.NewProfile(topo.Sockets())
 	}
 	if p.cfg.Trace {
 		res.Trace = evtrace.NewBuffer()
 	}
-	topo := topology.New(p.sys.Topology)
-	if p.cfg.Attrib {
-		res.Profile = attrib.NewProfile(topo.Sockets())
-	}
-	res.AMAT.SetUnloadedLatencies(unloadedLatencies(topo,
-		p.sys.SocketMem.OnChip+p.sys.SocketMem.DRAMLatency))
-	return res
-}
-
-// MergeWindow folds one window's measurements into r. All counters are
-// integer sums, so merging is commutative except for the per-core IPC
-// samples, whose float mean is order-sensitive: merge windows in
-// checkpoint order to get bit-identical aggregates regardless of how
-// the windows were executed.
-//
-//starnuma:hotpath one call per finished window on the merge goroutine
-func (r *Result) MergeWindow(w Window) {
-	r.AMAT.Merge(w.stats.amat)
-	//starnumavet:allow hotalloc once per merged window, amortized over the run
-	r.ipcs = append(r.ipcs, w.stats.ipcs...)
-	r.Instructions += w.stats.instr
-	r.Misses += w.stats.misses
-	r.Dir.Transactions += w.stats.dir.Transactions
-	r.Dir.BT3Hop += w.stats.dir.BT3Hop
-	r.Dir.BT4Hop += w.stats.dir.BT4Hop
-	r.Dir.Invalidations += w.stats.dir.Invalidations
-	r.MigrStalledAccesses += w.stats.migrStalled
-	r.SimulatedTime += w.stats.simTime
-	r.TLB.Hits += w.stats.tlb.Hits
-	r.TLB.Walks += w.stats.tlb.Walks
-	r.TLB.ShootdownWalks += w.stats.tlb.ShootdownWalks
-	r.TLB.Shootdowns += w.stats.tlb.Shootdowns
-	r.TLB.ShootdownTargets += w.stats.tlb.ShootdownTargets
-	r.ReplicaReads += w.stats.replicaReads
-	r.ReplicaWriteStalls += w.stats.replicaWriteStalls
-	r.PageFaults += w.stats.pageFaults
-	r.FaultDegradedSends += w.stats.faultDegraded
-	r.FaultFlapRetries += w.stats.faultRetries
-	if r.Profile != nil && w.stats.prof != nil {
-		r.Profile.Append(*w.stats.prof)
-	}
-	if w.stats.met != nil {
-		if r.Metrics == nil {
-			r.Metrics = &metrics.Snapshot{} //starnumavet:allow hotalloc one allocation per Result, on the first instrumented window
-		}
-		r.Metrics.Merge(w.stats.met)
-	}
-	if r.Trace != nil {
-		// Windows each simulate from their own t=0; shifting by the
-		// cumulative simulated time lays them end to end. The recorded
-		// start offsets later anchor step B's phase-clock events.
-		if w.stats.trc != nil {
-			w.stats.trc.Shift(r.traceOff)
-			r.Trace.Append(w.stats.trc)
-		}
-		//starnumavet:allow hotalloc once per traced window, amortized over the run
-		r.windowOffsets = append(r.windowOffsets, r.traceOff)
-		r.traceOff += w.stats.simTime
-	}
-}
-
-// Assemble merges the windows in slice order and computes the derived
-// aggregates (IPC, MPKI, replication and pool placement counts). Pass
-// windows indexed by checkpoint for the deterministic ordering contract
-// of MergeWindow. A degenerate run with no windows (or windows that
-// retired nothing) yields zero aggregates, never NaN.
-func (p *Plan) Assemble(windows []Window) *Result {
-	res := p.NewResult()
+	var ipcs []float64
+	// traceOff is the cumulative simulated time of the windows merged so
+	// far: the offset that lays the next window's events, simulated from
+	// its own t=0, end to end after them. windowOffsets records each
+	// window's offset to anchor step B's phase-clock events.
+	var traceOff sim.Time
+	var windowOffsets []sim.Time
 	for _, w := range windows {
-		res.MergeWindow(w)
+		st := w.stats
+		res.Counters.add(st.Counters)
+		res.AMAT.Merge(st.amat)
+		ipcs = append(ipcs, st.ipcs...)
+		if res.Profile != nil && st.prof != nil {
+			res.Profile.Append(*st.prof)
+		}
+		if st.met != nil {
+			if res.Metrics == nil {
+				res.Metrics = &metrics.Snapshot{}
+			}
+			res.Metrics.Merge(st.met)
+		}
+		if res.Trace != nil {
+			if st.trc != nil {
+				st.trc.Shift(traceOff)
+				res.Trace.Append(st.trc)
+			}
+			windowOffsets = append(windowOffsets, traceOff)
+			traceOff += st.SimulatedTime
+		}
 	}
 	if res.Trace != nil && p.tr.Trace != nil {
-		res.Trace.Append(translateStepB(p.tr.Trace, res.windowOffsets, res.traceOff))
+		res.Trace.Append(translateStepB(p.tr.Trace, windowOffsets, traceOff))
 	}
-	res.IPC = stats.Mean(res.ipcs)
+	res.IPC = stats.Mean(ipcs)
 	if math.IsNaN(res.IPC) || math.IsInf(res.IPC, 0) {
 		res.IPC = 0
 	}
@@ -194,7 +163,6 @@ func (p *Plan) Assemble(windows []Window) *Result {
 			res.ReplicatedPages++
 		}
 	}
-	topo := topology.New(p.sys.Topology)
 	if topo.HasPool() {
 		for _, h := range p.tr.FinalHome {
 			if h == topo.PoolNode() {

@@ -31,36 +31,18 @@ type Result struct {
 
 	// MigrStats summarises step B's migration decisions (Table IV).
 	MigrStats migrate.Stats
-	// Dir sums the coherence directory activity of all windows.
-	Dir coherence.Stats
-	// PoolPages is the number of pages resident in the pool at the end.
-	PoolPages int
-	// MigrStalledAccesses counts accesses that waited on an in-flight
-	// page migration.
-	MigrStalledAccesses uint64
 	// TrackerFlushes is the tracker metadata traffic from step B.
 	TrackerFlushes uint64
-	// TLB sums the translation subsystem's activity across windows
-	// (shootdowns, targeted cores, induced walks).
-	TLB tlb.Stats
-	// Replication study (§V-F) counters.
-	ReplicatedPages    int
-	ReplicaReads       uint64
-	ReplicaWriteStalls uint64
-	// PageFaults counts minor faults taken by the software-tracking
-	// study's poisoned pages during timing windows.
-	PageFaults uint64
-	// Fault-injection totals (internal/fault): sends served with
-	// degraded latency/bandwidth, sends delayed by a flapping link, and
-	// pages drained off failing pool channels. All zero without a plan.
-	FaultDegradedSends uint64
-	FaultFlapRetries   uint64
-	FaultDrainedPages  uint64
-	// SimulatedTime is the summed wall-clock of the timing windows.
-	SimulatedTime sim.Time
-	// Instructions / Misses are post-warmup totals.
-	Instructions uint64
-	Misses       uint64
+	// PoolPages is the number of pages resident in the pool at the end.
+	PoolPages int
+	// ReplicatedPages is the replication study's (§V-F) replica set size.
+	ReplicatedPages int
+	// FaultDrainedPages counts pages step B drained off failing pool
+	// channels (internal/fault); zero without a fault plan.
+	FaultDrainedPages uint64
+
+	// Counters sums the step-C windows' additive totals.
+	Counters
 
 	// Metrics is the merged instrumentation snapshot (step B plus every
 	// window in checkpoint order); nil unless SimConfig.CollectMetrics.
@@ -80,16 +62,57 @@ type Result struct {
 	// never enter the result cache — a cache hit skips simulation and
 	// therefore cannot produce one.
 	Trace *evtrace.Buffer `json:"-"`
+}
 
-	// ipcs accumulates per-core post-warmup IPC samples across merged
-	// windows, in checkpoint order; Plan.Assemble reduces them to IPC.
-	ipcs []float64
-	// traceOff is the cumulative simulated time of merged windows: the
-	// timeline offset the next window's events shift by. windowOffsets
-	// records each merged window's start offset, in merge order, for
-	// translating step B's phase-clock events.
-	traceOff      sim.Time
-	windowOffsets []sim.Time
+// Counters are step C's additive totals: a timing window counts into
+// one, and Plan.Assemble sums the windows' into the Result's.
+type Counters struct {
+	// Instructions / Misses are post-warmup totals.
+	Instructions uint64
+	Misses       uint64
+	// SimulatedTime is the summed wall-clock of the timing windows.
+	SimulatedTime sim.Time
+	// Dir is the coherence directory activity.
+	Dir coherence.Stats
+	// TLB is the translation subsystem's activity (shootdowns, targeted
+	// cores, induced walks).
+	TLB tlb.Stats
+	// MigrStalledAccesses counts accesses that waited on an in-flight
+	// page migration.
+	MigrStalledAccesses uint64
+	// Replication study (§V-F) counters.
+	ReplicaReads       uint64
+	ReplicaWriteStalls uint64
+	// PageFaults counts minor faults taken by the software-tracking
+	// study's poisoned pages.
+	PageFaults uint64
+	// Fault-injection totals (internal/fault), summed over the link
+	// injectors: sends served with degraded latency/bandwidth and sends
+	// delayed by a flapping link. Zero without a plan.
+	FaultDegradedSends uint64
+	FaultFlapRetries   uint64
+}
+
+// add sums o into c.
+func (c *Counters) add(o Counters) {
+	c.Instructions += o.Instructions
+	c.Misses += o.Misses
+	c.SimulatedTime += o.SimulatedTime
+	c.Dir.Transactions += o.Dir.Transactions
+	c.Dir.BT3Hop += o.Dir.BT3Hop
+	c.Dir.BT4Hop += o.Dir.BT4Hop
+	c.Dir.Invalidations += o.Dir.Invalidations
+	c.TLB.Hits += o.TLB.Hits
+	c.TLB.Walks += o.TLB.Walks
+	c.TLB.ShootdownWalks += o.TLB.ShootdownWalks
+	c.TLB.Shootdowns += o.TLB.Shootdowns
+	c.TLB.ShootdownTargets += o.TLB.ShootdownTargets
+	c.MigrStalledAccesses += o.MigrStalledAccesses
+	c.ReplicaReads += o.ReplicaReads
+	c.ReplicaWriteStalls += o.ReplicaWriteStalls
+	c.PageFaults += o.PageFaults
+	c.FaultDegradedSends += o.FaultDegradedSends
+	c.FaultFlapRetries += o.FaultFlapRetries
 }
 
 // CoherenceTxnIntervalNS returns the mean simulated time between

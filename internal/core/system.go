@@ -61,33 +61,20 @@ type coreState struct {
 
 // windowStats is what one step-C timing window produces.
 type windowStats struct {
+	Counters    // the window's additive totals, summed by Plan.Assemble
 	amat        *stats.AMAT
 	ipcs        []float64 // per-core post-warmup IPC
-	instr       uint64    // post-warmup instructions
-	misses      uint64    // post-warmup misses
-	dir         coherence.Stats
-	migrStalled uint64 // accesses stalled behind in-flight migrations
 	migrModeled int
-	simTime     sim.Time
-	tlb         tlb.Stats
-	// replication study counters (§V-F)
-	replicaReads       uint64
-	replicaWriteStalls uint64
-	// software-tracking study: minor page faults taken in the window
-	pageFaults uint64
-	// fault-injection counters, summed over the window's link injectors:
-	// sends served degraded, sends that hit a flap down-interval, and
-	// the total retrain+retry wait they paid.
-	faultDegraded uint64
-	faultRetries  uint64
-	faultRetryPS  sim.Time
+	// faultRetryPS is the total retrain+retry wait the window's faulted
+	// link sends paid.
+	faultRetryPS sim.Time
 	// met is the window's instrumentation snapshot; nil unless
 	// SimConfig.CollectMetrics.
 	met *metrics.Snapshot
 	// trc is the window's event-trace buffer, with timestamps on the
 	// window's local clock (t=0 at window start); nil unless
-	// SimConfig.Trace. Result.MergeWindow shifts it onto the run's
-	// continuous timeline.
+	// SimConfig.Trace. Plan.Assemble shifts it onto the run's continuous
+	// timeline.
 	trc *evtrace.Buffer
 	// prof is the window's stall-attribution snapshot; nil unless
 	// SimConfig.Attrib.
@@ -118,7 +105,7 @@ type timingSystem struct {
 	ctrls   []*memdev.Controller // indexed by node
 	llcs    []*cache.LLC         // indexed by socket
 	dir     *coherence.Directory
-	tlbs    *tlb.System      // nil when TLB modelling is disabled
+	tlbs    *tlb.System
 	sampler *tracker.Sampler // nil unless the software-tracking study runs
 
 	// fault injection: the compiled schedule (nil = fault-free), the
@@ -175,9 +162,8 @@ type timingSystem struct {
 // depends on is in here; two windows with equal keys can swap scratches
 // freely because prepare() re-applies all remaining state.
 type scratchKey struct {
-	sys      SystemConfig
-	pages    int
-	modelTLB bool
+	sys   SystemConfig
+	pages int
 }
 
 // scratchPools holds one sync.Pool of *timingSystem per scratch shape.
@@ -199,7 +185,7 @@ func policyChargesTracker(cfg SimConfig) bool {
 //starnuma:coldpath once-per-window setup
 func acquireTimingSystem(sys SystemConfig, cfg SimConfig, gen AccessSource,
 	chk Checkpoint, replicated []bool) *timingSystem {
-	key := scratchKey{sys: sys, pages: gen.NumPages(), modelTLB: cfg.ModelTLB}
+	key := scratchKey{sys: sys, pages: gen.NumPages()}
 	var ts *timingSystem
 	if p, ok := scratchPools.Load(key); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
@@ -208,7 +194,7 @@ func acquireTimingSystem(sys SystemConfig, cfg SimConfig, gen AccessSource,
 		}
 	}
 	if ts == nil {
-		ts = newScratch(sys, cfg, gen)
+		ts = newScratch(sys, gen)
 		ts.key = key
 	}
 	ts.prepare(cfg, gen, chk, replicated)
@@ -240,19 +226,17 @@ func releaseTimingSystem(ts *timingSystem) {
 // All per-window state is left for prepare.
 //
 //starnuma:coldpath runs once per (system, footprint) shape
-func newScratch(sys SystemConfig, cfg SimConfig, gen AccessSource) *timingSystem {
+func newScratch(sys SystemConfig, gen AccessSource) *timingSystem {
 	topo := topology.New(sys.Topology)
 	ts := &timingSystem{
 		sys:        sys,
 		topo:       topo,
 		eng:        sim.NewEngine(),
 		dir:        coherence.NewDirectorySized(topo.Sockets(), gen.NumPages()*workload.BlocksPerPage),
+		tlbs:       tlb.NewSystem(topo.Sockets()*sys.CoresPerSocket, gen.NumPages(), tlb.DefaultConfig()),
 		inFlight:   make(map[uint32]pageFlight),
 		cyclePS:    sys.CyclePS(),
 		annexCount: make([]uint64, topo.Sockets()),
-	}
-	if cfg.ModelTLB {
-		ts.tlbs = tlb.NewSystem(topo.Sockets()*sys.CoresPerSocket, gen.NumPages(), tlb.DefaultConfig())
 	}
 	// Links: one bandwidth server per directed channel.
 	for _, ch := range topo.Channels() {
@@ -307,9 +291,7 @@ func (ts *timingSystem) resetScratch() {
 		c.Reset()
 	}
 	ts.dir.Reset()
-	if ts.tlbs != nil {
-		ts.tlbs.Reset()
-	}
+	ts.tlbs.Reset()
 	clear(ts.inFlight)
 }
 
@@ -653,7 +635,7 @@ func (t *txn) finish(now2 sim.Time, traced bool) {
 	cs := t.cs
 	if t.record {
 		ts.w.amat.Observe(t.acc, now2-t.issued)
-		ts.w.misses++
+		ts.w.Misses++
 	}
 	if traced && ts.txnTrc != nil {
 		ts.txnTrc.Record(t.issued, now2-t.issued, ts.lanes[t.socket], t.socket, t.home, t.res)
@@ -850,12 +832,10 @@ func (ts *timingSystem) scheduleMigrations(chk Checkpoint) {
 		startAt := costPS.Scale(k)
 		ts.eng.AtKind(startAt, "migrate", func(now sim.Time) {
 			page := m.Page
-			if ts.tlbs != nil {
-				// Hardware-assisted targeted shootdown (§III-D3): only
-				// cores caching the translation are invalidated; they
-				// repay with a page walk on their next access.
-				ts.tlbs.Shootdown(page)
-			}
+			// Hardware-assisted targeted shootdown (§III-D3): only cores
+			// caching the translation are invalidated; they repay with a
+			// page walk on their next access.
+			ts.tlbs.Shootdown(page)
 			ts.pageHome[page] = m.To
 			f := ts.inFlight[page]
 			f.drain = f.drain || m.Drain
@@ -952,7 +932,7 @@ func (ts *timingSystem) finishCore(cs *coreState, now sim.Time) {
 	ts.w.ipcs = append(ts.w.ipcs, ipc)
 	ts.running--
 	if ts.running == 0 {
-		ts.w.simTime = now
+		ts.w.SimulatedTime = now
 		ts.eng.Halt()
 	}
 }
@@ -963,7 +943,7 @@ func (ts *timingSystem) finishCore(cs *coreState, now sim.Time) {
 func (ts *timingSystem) issueAccess(cs *coreState, a workload.Access, issued sim.Time, record bool) {
 	// Stall behind an in-flight migration of the page (§IV-C).
 	if f, ok := ts.inFlight[a.Page]; ok {
-		ts.w.migrStalled++
+		ts.w.MigrStalledAccesses++
 		//starnumavet:allow hotalloc waiter list exists only while a migration of this page is in flight; stalls are rare by design
 		f.waiters = append(f.waiters, stalledAccess{cs: cs, a: a, issued: issued,
 			since: ts.eng.Now(), record: record, drain: f.drain})
@@ -975,7 +955,7 @@ func (ts *timingSystem) issueAccess(cs *coreState, a workload.Access, issued sim
 	// a phase takes a minor page fault before anything else happens.
 	if ts.sampler != nil && ts.sampler.WouldFault(a.Page) {
 		ts.sampler.MarkFaulted(a.Page)
-		ts.w.pageFaults++
+		ts.w.PageFaults++
 		penalty := ts.cfg.SoftwareTracking.FaultPenaltyCycles.Time(ts.cyclePS)
 		if ts.led != nil && record {
 			// The fault handler stalls the access for exactly penalty;
@@ -989,20 +969,18 @@ func (ts *timingSystem) issueAccess(cs *coreState, a workload.Access, issued sim
 	// single-socket IPC, so only shootdown-induced walks (the marginal
 	// cost of migrations) charge latency — modelled by delaying the
 	// access by the page-walk penalty.
-	if ts.tlbs != nil {
-		if _, shot := ts.tlbs.Access(cs.id, a.Page); shot && ts.cfg.PageWalkPenalty > 0 {
-			delay := ts.cfg.PageWalkPenalty
-			if ts.w.trc != nil && ts.trcTLBN < tlbTraceCap {
-				ts.trcTLBN++
-				ts.w.trc.SpanArgs("tlb", "shootdown walk", ts.lanes[cs.socket], now, delay,
-					evtrace.Arg{Key: "core", Val: strconv.Itoa(cs.id)})
-			}
-			if ts.led != nil && record {
-				ts.led.Charge(cs.socket, attrib.TLB, delay)
-			}
-			ts.eng.AtKind(now+delay, "walk", func(sim.Time) { ts.issueAccessAfterWalk(cs, a, issued, record) })
-			return
+	if _, shot := ts.tlbs.Access(cs.id, a.Page); shot && ts.cfg.PageWalkPenalty > 0 {
+		delay := ts.cfg.PageWalkPenalty
+		if ts.w.trc != nil && ts.trcTLBN < tlbTraceCap {
+			ts.trcTLBN++
+			ts.w.trc.SpanArgs("tlb", "shootdown walk", ts.lanes[cs.socket], now, delay,
+				evtrace.Arg{Key: "core", Val: strconv.Itoa(cs.id)})
 		}
+		if ts.led != nil && record {
+			ts.led.Charge(cs.socket, attrib.TLB, delay)
+		}
+		ts.eng.AtKind(now+delay, "walk", func(sim.Time) { ts.issueAccessAfterWalk(cs, a, issued, record) })
+		return
 	}
 	ts.issueAccessAfterWalk(cs, a, issued, record)
 }
@@ -1142,7 +1120,7 @@ func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 	now := ts.eng.Now()
 	if !a.Write {
 		if record {
-			ts.w.replicaReads++
+			ts.w.ReplicaReads++
 		}
 		t := ts.demandTxn(cs, socket, home, addr, now, issued, record)
 		t.acc = stats.Local
@@ -1155,7 +1133,7 @@ func (ts *timingSystem) replicatedAccess(cs *coreState, a workload.Access,
 	// other socket, stall for the kernel-level penalty, then update the
 	// page's home copy.
 	if record {
-		ts.w.replicaWriteStalls++
+		ts.w.ReplicaWriteStalls++
 	}
 	for s := 0; s < ts.topo.Sockets(); s++ {
 		if topology.NodeID(s) == socket {
@@ -1255,16 +1233,14 @@ func runWindow(sys SystemConfig, cfg SimConfig, gen AccessSource,
 		unfinishedPanic(ts.running, chk.Phase)
 	}
 	for _, cs := range ts.cores {
-		ts.w.instr += cs.instr - cs.warmupInstr
+		ts.w.Instructions += cs.instr - cs.warmupInstr
 	}
-	ts.w.dir = ts.dir.Stats()
-	if ts.tlbs != nil {
-		ts.w.tlb = ts.tlbs.Stats()
-	}
+	ts.w.Dir = ts.dir.Stats()
+	ts.w.TLB = ts.tlbs.Stats()
 	for _, inj := range ts.injectors {
 		st := inj.Stats()
-		ts.w.faultDegraded += st.DegradedSends
-		ts.w.faultRetries += st.FlapRetries
+		ts.w.FaultDegradedSends += st.DegradedSends
+		ts.w.FaultFlapRetries += st.FlapRetries
 		ts.w.faultRetryPS += st.RetryTime
 	}
 	if ts.led != nil {
@@ -1280,7 +1256,7 @@ func runWindow(sys SystemConfig, cfg SimConfig, gen AccessSource,
 	if ts.w.trc != nil {
 		// The whole window as one span on the "sim" lane, recorded last
 		// so its duration is the settled window length.
-		ts.w.trc.SpanArgs("window", "window "+strconv.Itoa(chk.Phase), "sim", 0, ts.w.simTime,
+		ts.w.trc.SpanArgs("window", "window "+strconv.Itoa(chk.Phase), "sim", 0, ts.w.SimulatedTime,
 			evtrace.Arg{Key: "phase", Val: strconv.Itoa(chk.Phase)},
 			evtrace.Arg{Key: "migrations", Val: strconv.Itoa(ts.w.migrModeled)})
 	}

@@ -146,7 +146,7 @@ func TestWindowWriteSharingTriggersBlockTransfers(t *testing.T) {
 	if bd[stats.BTSocket] == 0 {
 		t.Fatalf("no socket block transfers: %v", bd)
 	}
-	if w.dir.Invalidations == 0 {
+	if w.Dir.Invalidations == 0 {
 		t.Fatal("no invalidations despite write sharing")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // instead of re-simulating them.
 //
 // Two kinds of window bypass it:
-//   - traced windows, because Result.MergeWindow shifts the window's
+//   - traced windows, because Plan.Assemble shifts the window's
 //     event buffer in place;
 //   - windows over a stream without a signature (a trace-file replay),
 //     which vouches for no identity, as in the ingest memo.

@@ -263,9 +263,8 @@ func TestWindowMemoMatchesSimulation(t *testing.T) {
 			if !reflect.DeepEqual(w.stats, want) {
 				t.Fatalf("%s: recalled window diverges from simulation", p.cfg.Policy)
 			}
-			for _, r := range []*Result{p.NewResult(), p.NewResult()} {
-				r.MergeWindow(w)
-				r.MergeWindow(p.RunWindow(1, newGen()))
+			for k := 0; k < 2; k++ {
+				r := p.Assemble([]Window{w, p.RunWindow(1, newGen())})
 				if r.Metrics != nil {
 					for _, h := range r.Metrics.Histograms {
 						h.Buckets[0].N++

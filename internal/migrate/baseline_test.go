@@ -25,10 +25,6 @@ func TestPageCountsBasics(t *testing.T) {
 	if s != 3 || n != 2 {
 		t.Fatalf("argmax = %d,%d", s, n)
 	}
-	c.Reset()
-	if c.Total(10) != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestPageCountsAddInto(t *testing.T) {
@@ -37,7 +33,7 @@ func TestPageCountsAddInto(t *testing.T) {
 	a.Record(1, 2)
 	a.Record(1, 2)
 	a.AddInto(b)
-	a.Reset()
+	a = NewPageCounts(8, 4)
 	a.Record(2, 2)
 	a.AddInto(b)
 	if b.Count(2, 1) != 2 || b.Count(2, 2) != 1 {

@@ -96,16 +96,6 @@ func (c *PageCounts) Argmax(page uint32) (socket int, count uint32) {
 	return socket, count
 }
 
-// Reset zeroes all counters (phase boundary).
-func (c *PageCounts) Reset() {
-	for i := range c.counts {
-		c.counts[i] = 0
-	}
-	for i := range c.writes {
-		c.writes[i] = 0
-	}
-}
-
 // FoldInto adds this phase's accesses to t, region by region, leaving
 // it as recording each access with t.Record would: a region's sharer
 // mask is every socket with a non-zero count on one of its pages, and

@@ -37,7 +37,6 @@ func TestFoldIntoMatchesRecord(t *testing.T) {
 						foldS = tracker.NewSampler(fold, frac, 3)
 						refKeep, foldKeep = refS.Sampled, foldS.Sampled
 					}
-					counts := NewPageCounts(pages, sockets)
 					rng := rand.New(rand.NewSource(int64(rp) + 1))
 					for phase, n := range phaseLen {
 						if frac > 0 {
@@ -47,7 +46,7 @@ func TestFoldIntoMatchesRecord(t *testing.T) {
 							ref.Reset()
 							fold.Reset()
 						}
-						counts.Reset()
+						counts := NewPageCounts(pages, sockets)
 						for i := 0; i < n; i++ {
 							page := uint32(rng.Intn(pages))
 							if phase == 1 && i%16 != 0 {

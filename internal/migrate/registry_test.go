@@ -86,7 +86,7 @@ func TestRegistryConformance(t *testing.T) {
 			// Heat-free state: no decisions, placement untouched.
 			empty := conformanceState()
 			empty.Tracker.Reset()
-			empty.Counts.Reset()
+			empty.Counts = NewPageCounts(testPages, 16)
 			if ms := build().Decide(0, empty); len(ms) != 0 {
 				t.Fatalf("decided %d migrations with no recorded heat", len(ms))
 			}

@@ -39,15 +39,11 @@ func TestWriteFracTracking(t *testing.T) {
 	if c.WriteFrac(2) != 0 {
 		t.Fatal("untouched page WriteFrac != 0")
 	}
-	// AddInto carries writes; Reset clears them.
+	// AddInto carries writes.
 	dst := NewPageCounts(8, 4)
 	c.AddInto(dst)
 	if dst.WriteFrac(1) != 0.5 {
 		t.Fatal("AddInto lost writes")
-	}
-	c.Reset()
-	if c.WriteFrac(1) != 0 {
-		t.Fatal("Reset kept writes")
 	}
 }
 
