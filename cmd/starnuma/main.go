@@ -8,10 +8,9 @@
 //	starnuma -exp fig8a [-quick] [-scale 0.25] [-phases 6] [-workloads BFS,TC]
 //	starnuma -exp all -quick -o results.txt      # the full suite
 //	starnuma -exp all -quick -nocache -jobs 1 -benchjson BENCH_fresh.json
-//	starnuma -exp fig8a -metrics manifest.json   # collect instrumentation
+//	starnuma -exp fig8a -metrics manifest.json   # collect metrics and stall profiles
 //	starnuma -exp fig8a -faults plan.json        # inject fabric faults
 //	starnuma -exp fig8a -trace trace.json        # record an event trace
-//	starnuma -exp fig8a -attrib profiles.json    # attribute stall time
 //	starnuma -exp fig8a -cpuprofile cpu.pprof    # profile the run
 //	starnuma -list
 //
@@ -19,8 +18,8 @@
 //
 //	starnuma scenario run|validate|list scenarios/     # declarative scenarios (internal/scenario)
 //	starnuma policy list                               # the internal/migrate policy registry
-//	starnuma prof report|diff|flame profiles.json      # -attrib stall profiles
 //	starnuma metrics dump|diff|top manifest.json       # -metrics manifests, result-cache entries
+//	starnuma prof report|diff|flame manifest.json      # their stall profiles
 //	starnuma trace summarize|slice|top|export trace.json
 //	starnuma workload list                             # workload models (Table III)
 //	starnuma workload show BFS                         # page classes, Fig. 2/13 sharing table

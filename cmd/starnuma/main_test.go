@@ -63,6 +63,7 @@ func TestDispatchExitCodes(t *testing.T) {
 		{[]string{"trace", "bogus"}, exitUsage},
 		{[]string{"metrics", "dump"}, exitUsage},
 		{[]string{"metrics", "top", "-bogus", "m.json"}, exitUsage},
+		{[]string{"-exp", "fig8a", "-attrib", "p.json"}, exitUsage}, // stall profiles ride -metrics
 		{[]string{"workload", "dump", "-h"}, exitOK},
 		{[]string{"policy", "list"}, exitOK},
 	} {
@@ -159,7 +160,7 @@ func TestOneErrorLinePerFailure(t *testing.T) {
 		{[]string{"metrics", "dump", empty}, "starnuma metrics dump: " + empty + ": not a JSON document: unexpected end of JSON input"},
 		{[]string{"metrics", "diff", empty, empty}, "starnuma metrics diff: " + empty + ": not a JSON document: unexpected end of JSON input"},
 		{[]string{"trace", "summarize", empty}, "starnuma trace summarize: evtrace: decode: unexpected end of JSON input"},
-		{[]string{"prof", "report", empty}, "starnuma prof report: attrib: parse profile document: unexpected end of JSON input"},
+		{[]string{"prof", "report", empty}, "starnuma prof report: " + empty + ": not a JSON document: unexpected end of JSON input"},
 		{[]string{"workload", "dump", "-workload", "nope"}, `starnuma workload dump: workload: unknown workload "nope"`},
 	} {
 		_, stderr, code := runCLI(t, c.args...)

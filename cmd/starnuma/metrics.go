@@ -28,7 +28,7 @@ print in sorted name order, so two identical runs diff empty.
 }
 
 func metricsDump(fs *flag.FlagSet, args []string) error {
-	docs, err := loadRuns(fs, args, 1)
+	docs, err := loadRuns(fs, args, 1, 1)
 	if err != nil {
 		return err
 	}
@@ -37,7 +37,7 @@ func metricsDump(fs *flag.FlagSet, args []string) error {
 }
 
 func metricsDiff(fs *flag.FlagSet, args []string) error {
-	docs, err := loadRuns(fs, args, 2)
+	docs, err := loadRuns(fs, args, 2, 2)
 	if err != nil {
 		return err
 	}
@@ -47,7 +47,7 @@ func metricsDiff(fs *flag.FlagSet, args []string) error {
 
 func metricsTop(fs *flag.FlagSet, args []string) error {
 	n := fs.Int("n", 10, "number of links to show")
-	docs, err := loadRuns(fs, args, 1)
+	docs, err := loadRuns(fs, args, 1, 1)
 	if err != nil {
 		return err
 	}
@@ -55,13 +55,13 @@ func metricsTop(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// loadRuns parses a command's flags and decodes its n document
-// arguments.
-func loadRuns(fs *flag.FlagSet, args []string, n int) ([][]namedSnapshot, error) {
-	if err := parse(fs, args, n, n); err != nil {
+// loadRuns parses a command's flags and decodes its min to max
+// document arguments.
+func loadRuns(fs *flag.FlagSet, args []string, min, max int) ([][]exp.ManifestRun, error) {
+	if err := parse(fs, args, min, max); err != nil {
 		return nil, err
 	}
-	var docs [][]namedSnapshot
+	var docs [][]exp.ManifestRun
 	for _, path := range fs.Args() {
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -76,17 +76,13 @@ func loadRuns(fs *flag.FlagSet, args []string, n int) ([][]namedSnapshot, error)
 	return docs, nil
 }
 
-// namedSnapshot is one run's instrumentation with a display name.
-type namedSnapshot struct {
-	Name string
-	Snap *metrics.Snapshot
-}
-
-// decodeRuns extracts the metric snapshots from a JSON document of any
-// of the three shapes the metrics commands accept: an exp run manifest,
-// a runner cache entry, or a bare core.Result. name labels bare results
-// that carry no key of their own.
-func decodeRuns(b []byte, name string) ([]namedSnapshot, error) {
+// decodeRuns reads the runs of a JSON document of any of the three
+// shapes the metrics and prof commands accept: an exp run manifest, a
+// runner cache entry, or a bare core.Result. name labels results that
+// carry no key of their own. Every run must have a key and every stall
+// profile must pass Profile.Validate, so a corrupt document fails here
+// instead of in a renderer.
+func decodeRuns(b []byte, name string) ([]exp.ManifestRun, error) {
 	var probe struct {
 		Schema  string          `json:"schema"`
 		Version string          `json:"version"`
@@ -96,6 +92,7 @@ func decodeRuns(b []byte, name string) ([]namedSnapshot, error) {
 	if err := json.Unmarshal(b, &probe); err != nil {
 		return nil, fmt.Errorf("not a JSON document: %w", err)
 	}
+	var runs []exp.ManifestRun
 	switch {
 	case probe.Schema != "":
 		if probe.Schema != exp.ManifestSchema {
@@ -105,61 +102,67 @@ func decodeRuns(b []byte, name string) ([]namedSnapshot, error) {
 		if err := json.Unmarshal(b, &m); err != nil {
 			return nil, fmt.Errorf("manifest: %w", err)
 		}
-		var out []namedSnapshot
-		for _, r := range m.Runs {
-			out = append(out, namedSnapshot{Name: r.Key, Snap: r.Metrics})
-		}
-		return out, nil
-	case probe.Result != nil:
-		var res core.Result
-		if err := json.Unmarshal(probe.Result, &res); err != nil {
-			return nil, fmt.Errorf("cache entry: %w", err)
-		}
-		label := probe.Key
-		if label == "" {
-			label = name
-		}
-		return []namedSnapshot{{Name: label, Snap: res.Metrics}}, nil
+		runs = m.Runs
 	default:
+		// A cache entry wraps its Result beside its key; a bare Result
+		// is labelled by its workload.
+		raw := b
+		if probe.Result != nil {
+			raw = probe.Result
+		}
 		var res core.Result
-		if err := json.Unmarshal(b, &res); err != nil {
+		if err := json.Unmarshal(raw, &res); err != nil {
 			return nil, fmt.Errorf("result: %w", err)
 		}
-		label := res.Workload
+		label := probe.Key
+		if probe.Result == nil {
+			label = res.Workload
+		}
 		if label == "" {
 			label = name
 		}
-		return []namedSnapshot{{Name: label, Snap: res.Metrics}}, nil
+		runs = []exp.ManifestRun{exp.NewManifestRun(label, &res)}
 	}
+	for i, r := range runs {
+		if r.Key == "" {
+			return nil, fmt.Errorf("run %d has no key", i)
+		}
+		if r.Profile != nil {
+			if err := r.Profile.Validate(); err != nil {
+				return nil, fmt.Errorf("run %s: %w", r.Key, err)
+			}
+		}
+	}
+	return runs, nil
 }
 
 // combined merges every run's snapshot (in listed order) into one.
-func combined(runs []namedSnapshot) *metrics.Snapshot {
+func combined(runs []exp.ManifestRun) *metrics.Snapshot {
 	s := &metrics.Snapshot{}
 	for _, r := range runs {
-		s.Merge(r.Snap)
+		s.Merge(r.Metrics)
 	}
 	return s
 }
 
 // dumpText renders every run's full metric dump, one section per run.
-func dumpText(runs []namedSnapshot) string {
+func dumpText(runs []exp.ManifestRun) string {
 	var b strings.Builder
 	for _, r := range runs {
-		fmt.Fprintf(&b, "== %s ==\n", r.Name)
-		if r.Snap.Empty() {
+		fmt.Fprintf(&b, "== %s ==\n", r.Key)
+		if r.Metrics.Empty() {
 			b.WriteString("(no metrics; run with -metrics to collect)\n")
 		} else {
-			b.WriteString(r.Snap.Dump())
+			b.WriteString(r.Metrics.Dump())
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// diffText compares two combined snapshots counter by counter and gauge
-// by gauge, reporting only entries that differ. Metrics present on one
-// side only show "-" for the missing side.
+// diffText compares two combined snapshots metric by metric, reporting
+// only entries that differ; a metric on one side only shows "-" for the
+// other.
 func diffText(a, b *metrics.Snapshot) string {
 	var out strings.Builder
 	names := union(a.Names(), b.Names())
@@ -191,9 +194,6 @@ func lookupValue(s *metrics.Snapshot, n string) (string, bool) {
 	}
 	if v, ok := s.Counters[n]; ok {
 		return fmt.Sprintf("%d", v), true
-	}
-	if v, ok := s.Gauges[n]; ok {
-		return fmt.Sprintf("%g", v), true
 	}
 	if h, ok := s.Histograms[n]; ok {
 		return fmt.Sprintf("count=%d mean=%.3f", h.Count, h.Mean()), true

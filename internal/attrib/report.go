@@ -5,6 +5,16 @@ import (
 	"strings"
 )
 
+// Run is one experiment run's profile as the renderers read it: the
+// runner's memo key plus the labels that group runs by workload or
+// policy without re-parsing the key.
+type Run struct {
+	Key      string
+	Workload string
+	Policy   string
+	Profile  *Profile
+}
+
 // psToMS renders picoseconds as milliseconds for human tables.
 func psToMS(ps int64) string {
 	return fmt.Sprintf("%.3fms", float64(ps)/1e9)
@@ -20,19 +30,18 @@ func share(part, total int64) string {
 }
 
 // RenderReport renders the per-run category tables of `starnuma prof
-// report`: one block per run (runs sorted by key), each category's
+// report`: one block per run (in the given order), each category's
 // charged time and share of the run total, and optionally the
 // per-socket split. Zero categories are elided from the rows but the
 // run totals always cover every cell.
-func RenderReport(d *Doc, perSocket bool) string {
+func RenderReport(runs []Run, perSocket bool) string {
 	var b strings.Builder
-	d.Sort()
-	for i := range d.Runs {
-		r := &d.Runs[i]
+	for i := range runs {
+		r := &runs[i]
 		p := r.Profile
 		total := p.Total()
 		fmt.Fprintf(&b, "run %s workload=%s policy=%s windows=%d sockets=%d total=%s\n",
-			shortKey(r.Key), r.Workload, r.Policy, len(p.Windows), p.Sockets, psToMS(total))
+			r.Key, r.Workload, r.Policy, len(p.Windows), p.Sockets, psToMS(total))
 		cats := p.CategoryTotals()
 		for ci, name := range p.Categories {
 			if cats[ci] == 0 {
@@ -50,28 +59,20 @@ func RenderReport(d *Doc, perSocket bool) string {
 			}
 		}
 	}
-	if len(d.Runs) == 0 {
-		b.WriteString("no attribution runs in document\n")
+	if len(runs) == 0 {
+		b.WriteString("no runs with a stall profile\n")
 	}
 	return b.String()
 }
 
-// shortKey abbreviates a content-address key for table headers.
-func shortKey(k string) string {
-	if len(k) > 12 {
-		return k[:12]
-	}
-	return k
-}
-
-// GroupTotals sums category totals and run counts over the document's
-// runs whose key, workload, or policy contains substr (empty matches
-// all). The totals slice is indexed like Names(); runs whose profiles
-// carry a different category list are skipped and counted in skipped.
-func (d *Doc) GroupTotals(substr string) (totals []int64, runs, skipped int) {
+// GroupTotals sums category totals and run counts over the runs whose
+// key, workload, or policy contains substr (empty matches all). The
+// totals slice is indexed like Names(); runs whose profiles carry a
+// different category list are skipped and counted in skipped.
+func GroupTotals(rs []Run, substr string) (totals []int64, runs, skipped int) {
 	totals = make([]int64, NumCategories)
-	for i := range d.Runs {
-		r := &d.Runs[i]
+	for i := range rs {
+		r := &rs[i]
 		if substr != "" && !strings.Contains(r.Key, substr) &&
 			!strings.Contains(r.Workload, substr) && !strings.Contains(r.Policy, substr) {
 			continue

@@ -10,10 +10,11 @@ import (
 	"starnuma/internal/topology"
 )
 
-// attribSim is windowSim with the stall-attribution ledger enabled.
+// attribSim is windowSim with instrumentation, and so the
+// stall-attribution ledger, enabled.
 func attribSim() SimConfig {
 	c := windowSim()
-	c.Attrib = true
+	c.Instrument = true
 	return c
 }
 
@@ -23,7 +24,7 @@ func attribSim() SimConfig {
 func checkConserved(t *testing.T, w windowStats) *attrib.WindowProfile {
 	t.Helper()
 	if w.prof == nil {
-		t.Fatal("no window profile with Attrib on")
+		t.Fatal("no window profile with Instrument on")
 	}
 	want := int64(w.amat.SumLatency())
 	if w.prof.TotalPS != want {
@@ -49,7 +50,7 @@ func TestAttribOffNoProfile(t *testing.T) {
 	src := newFakeSource(16, func(core int) uint32 { return uint32(core / 4) })
 	w := runWindow(BaselineSystem(), windowSim(), src, Checkpoint{PageHome: homesAll(16, 0)}, nil)
 	if w.prof != nil {
-		t.Fatal("window profile present with Attrib off")
+		t.Fatal("window profile present with Instrument off")
 	}
 }
 
@@ -234,8 +235,9 @@ func TestAttribConservationFaultRetry(t *testing.T) {
 }
 
 func TestAttribDifferentialResultJSON(t *testing.T) {
-	// Attribution must be passive: with the profile stripped, an
-	// attribution-on Result encodes byte-identically to attribution-off.
+	// Instrumentation must be passive: with the metrics and profile
+	// stripped, an instrumented Result encodes byte-identically to an
+	// uninstrumented one.
 	// The second input drives the replica legs, and page moves and
 	// migration stalls over degraded CXL links.
 	replDegrade := tinySim()
@@ -255,13 +257,13 @@ func TestAttribDifferentialResultJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfgOn := tc.cfg
-			cfgOn.Attrib = true
+			cfgOn.Instrument = true
 			on, err := Run(StarNUMASystem(), cfgOn, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if on.Profile == nil {
-				t.Fatal("no profile with Attrib on")
+				t.Fatal("no profile with Instrument on")
 			}
 			if err := on.Profile.CheckConservation(); err != nil {
 				t.Fatal(err)
@@ -275,7 +277,7 @@ func TestAttribDifferentialResultJSON(t *testing.T) {
 					"%d migration stalls, %d degraded sends",
 					on.ReplicaReads, on.ReplicaWriteStalls, on.MigrStalledAccesses, on.FaultDegradedSends)
 			}
-			on.Profile = nil
+			on.Metrics, on.Profile = nil, nil
 			a, err := json.Marshal(off)
 			if err != nil {
 				t.Fatal(err)
@@ -285,7 +287,7 @@ func TestAttribDifferentialResultJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(a) != string(b) {
-				t.Fatal("attribution-on Result differs from attribution-off after stripping the profile")
+				t.Fatal("instrumented Result differs from uninstrumented after stripping metrics and profile")
 			}
 		})
 	}

@@ -249,13 +249,18 @@ type SimConfig struct {
 	// paper's motivation for hardware tracking support.
 	SoftwareTracking SoftwareTrackingConfig
 
-	// CollectMetrics enables the instrumentation registry
-	// (internal/metrics): scheduler, link, memory, cache, coherence,
-	// TLB and migration counters harvested per phase and attached to
-	// Result.Metrics. Collection is passive — simulation results are
-	// bit-identical with it on or off — but it costs time and memory,
-	// so it is off by default.
-	CollectMetrics bool
+	// Instrument turns on both passive collectors: the instrumentation
+	// registry (internal/metrics: scheduler, link, memory, cache,
+	// coherence, TLB and migration counters harvested per phase into
+	// Result.Metrics) and the stall-attribution ledger (internal/attrib:
+	// every recorded demand access's latency decomposed into integer
+	// segments charged per window × socket × category, snapshotted into
+	// Result.Profile). Collection never alters timing — simulated
+	// results are bit-identical with it on or off — but it costs time
+	// and memory, so it is off by default. The field is part of the
+	// cache key, so instrumented runs cache their metrics and profile
+	// alongside the rest of the Result.
+	Instrument bool `json:",omitempty"`
 
 	// Faults is the fault-injection plan (internal/fault): link
 	// degradation, CXL port flaps and pool-channel failures scheduled at
@@ -274,17 +279,6 @@ type SimConfig struct {
 	// results carry no trace, so the CLI disables the cache when
 	// tracing).
 	Trace bool `json:"-"`
-
-	// Attrib enables the stall-attribution ledger (internal/attrib):
-	// every recorded demand access's latency is decomposed into integer
-	// segments charged per window × socket × category, snapshotted into
-	// Result.Profile. Attribution is passive — timing and results are
-	// bit-identical with it on or off — and the field is omitted from
-	// JSON when false, so attribution-off runs keep their existing
-	// content-addressed cache keys while attribution-on runs (whose
-	// results carry a profile) hash to distinct keys and cache the
-	// profile alongside the rest of the Result.
-	Attrib bool `json:",omitempty"`
 
 	// PageWalkPenalty is the latency charged for a shootdown-induced
 	// page walk (§IV-C: "TLB misses trigger page walks"). Step C always

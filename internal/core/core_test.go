@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"starnuma/internal/cache"
@@ -584,6 +585,26 @@ func TestReplicationConfigValidation(t *testing.T) {
 	cfg.Replication.Enable = false
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("disabled replication should skip validation: %v", err)
+	}
+}
+
+// TestReplicationStudyRejectsReplicatorPolicy: the whole-run study and
+// a policy that selects its own replica set each phase would model
+// different replicas in steps B and C, so TraceSimulate refuses the
+// pair.
+func TestReplicationStudyRejectsReplicatorPolicy(t *testing.T) {
+	spec := tinySpec(t, "TC")
+	cfg := tinySim()
+	cfg.Policy = PolicySpec{Name: "replication"}
+	cfg.Replication = migrate.DefaultReplicationConfig()
+	cfg.Replication.Enable = true
+	_, err := Run(StarNUMASystem(), cfg, spec)
+	if err == nil || !strings.Contains(err.Error(), "selects its own replicas") {
+		t.Fatalf("study with the replication policy: err %v, want a refusal", err)
+	}
+	cfg.Replication.Enable = false
+	if _, err := Run(StarNUMASystem(), cfg, spec); err != nil {
+		t.Fatalf("replication policy alone: %v", err)
 	}
 }
 

@@ -14,7 +14,7 @@ func metricsTestConfig(collect bool) (SystemConfig, SimConfig, workload.Spec) {
 	cfg.PhaseInstr = 200_000
 	cfg.TimedInstr = 20_000
 	cfg.WarmupInstr = 2_000
-	cfg.CollectMetrics = collect
+	cfg.Instrument = collect
 	spec, err := workload.ByName("BFS", 0.05)
 	if err != nil {
 		panic(err)
@@ -22,11 +22,12 @@ func metricsTestConfig(collect bool) (SystemConfig, SimConfig, workload.Spec) {
 	return sys, cfg, spec
 }
 
-// stripMetrics re-encodes a result with the Metrics field cleared.
+// stripMetrics re-encodes a result with the Metrics and Profile fields
+// cleared.
 func stripMetrics(t *testing.T, r *Result) string {
 	t.Helper()
 	c := *r
-	c.Metrics = nil
+	c.Metrics, c.Profile = nil, nil
 	b, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestMetricsOffLeavesResultNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Metrics != nil {
-		t.Errorf("metrics collected with CollectMetrics=false: %v", res.Metrics.Names())
+		t.Errorf("metrics collected with Instrument=false: %v", res.Metrics.Names())
 	}
 }
 
@@ -61,7 +62,7 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if on.Metrics.Empty() {
-		t.Fatal("CollectMetrics=true produced no metrics")
+		t.Fatal("Instrument=true produced no metrics")
 	}
 	if a, b := stripMetrics(t, off), stripMetrics(t, on); a != b {
 		t.Errorf("results differ with metrics on vs off:\noff: %s\non:  %s", a, b)

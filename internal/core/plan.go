@@ -112,7 +112,7 @@ func (p *Plan) Assemble(windows []Window) *Result {
 	}
 	res.AMAT.SetUnloadedLatencies(unloadedLatencies(topo,
 		p.sys.SocketMem.OnChip+p.sys.SocketMem.DRAMLatency))
-	if p.cfg.Attrib {
+	if p.cfg.Instrument {
 		res.Profile = attrib.NewProfile(topo.Sockets())
 	}
 	if p.cfg.Trace {

@@ -45,15 +45,14 @@ type Result struct {
 	Counters
 
 	// Metrics is the merged instrumentation snapshot (step B plus every
-	// window in checkpoint order); nil unless SimConfig.CollectMetrics.
+	// window in checkpoint order); nil unless SimConfig.Instrument.
 	// It rides through the runner's result cache like every other field.
 	Metrics *metrics.Snapshot `json:",omitempty"`
 
 	// Profile is the stall-attribution profile (internal/attrib): one
 	// WindowProfile per timing window in checkpoint order; nil unless
-	// SimConfig.Attrib. It rides through the runner's result cache like
-	// Metrics, and is omitted from JSON when absent so attribution-off
-	// results encode byte-identically to pre-attribution ones.
+	// SimConfig.Instrument. It rides through the runner's result cache
+	// like Metrics, and is omitted from JSON when absent.
 	Profile *attrib.Profile `json:",omitempty"`
 
 	// Trace is the merged event-trace buffer (step-C windows laid end to

@@ -69,7 +69,7 @@ type windowStats struct {
 	// link sends paid.
 	faultRetryPS sim.Time
 	// met is the window's instrumentation snapshot; nil unless
-	// SimConfig.CollectMetrics.
+	// SimConfig.Instrument.
 	met *metrics.Snapshot
 	// trc is the window's event-trace buffer, with timestamps on the
 	// window's local clock (t=0 at window start); nil unless
@@ -77,7 +77,7 @@ type windowStats struct {
 	// timeline.
 	trc *evtrace.Buffer
 	// prof is the window's stall-attribution snapshot; nil unless
-	// SimConfig.Attrib.
+	// SimConfig.Instrument.
 	prof *attrib.WindowProfile
 }
 
@@ -120,8 +120,8 @@ type timingSystem struct {
 	replicated []bool                // §V-F study; nil when disabled
 
 	// Stall attribution (internal/attrib): led is the active ledger, nil
-	// (disabled) unless cfg.Attrib — every charge site is gated on it, so
-	// attribution-off windows take no attribution branches. ledger is the
+	// (disabled) unless cfg.Instrument — every charge site is gated on it,
+	// so uninstrumented windows take no attribution branches. ledger is the
 	// pooled allocation behind led; linkCXL marks, index-aligned with
 	// links, which channels are CXL (queue/prop category split).
 	led     *attrib.Ledger
@@ -143,7 +143,7 @@ type timingSystem struct {
 	txnFree []*txn
 
 	// met is the window's instrumentation registry; nil (disabled)
-	// unless cfg.CollectMetrics. All writes are nil-safe no-ops when
+	// unless cfg.Instrument. All writes are nil-safe no-ops when
 	// disabled, and collection never alters timing.
 	met *metrics.Registry
 
@@ -311,12 +311,9 @@ func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint,
 	ts.lanes = nil
 	ts.txnTrc = nil
 	ts.trcMigN, ts.trcTLBN = 0, 0
-	if cfg.CollectMetrics {
-		ts.met = metrics.New()
-	}
-	ts.eng.SetMetrics(ts.met)
 	ts.led = nil
-	if cfg.Attrib {
+	if cfg.Instrument {
+		ts.met = metrics.New()
 		if ts.ledger == nil {
 			ts.ledger = attrib.NewLedger(ts.topo.Sockets())
 		} else {
@@ -324,6 +321,7 @@ func (ts *timingSystem) prepare(cfg SimConfig, gen AccessSource, chk Checkpoint,
 		}
 		ts.led = ts.ledger
 	}
+	ts.eng.SetMetrics(ts.met)
 	if cfg.Trace {
 		ts.w.trc = evtrace.NewBuffer()
 		ts.lanes = traceLanes(ts.topo)

@@ -47,7 +47,7 @@ type TraceResult struct {
 	DrainedPages uint64
 	// Metrics is step B's instrumentation snapshot (per-phase migration
 	// decision series, pool residency); nil unless
-	// SimConfig.CollectMetrics.
+	// SimConfig.Instrument.
 	Metrics *metrics.Snapshot
 	// Trace is step B's event buffer — phase spans, migration/drain
 	// decisions — on the phase-index clock (Ts = phase number);
@@ -195,7 +195,6 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 		Seed:                       cfg.Migration.Seed,
 		WorkloadSeed:               int64(spec.Seed),
 		BaseMigration:              cfg.Migration,
-		Replication:                cfg.Replication,
 		Link: func(phase int) migrate.LinkHealth {
 			return linkHealth(sched, sys, topo, phase)
 		},
@@ -206,10 +205,15 @@ func TraceSimulate(sys SystemConfig, cfg SimConfig, gen AccessSource) (*TraceRes
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if _, ok := policy.(migrate.Replicator); ok && cfg.Replication.Enable {
+		// Step B would cancel pool moves for the policy's per-phase
+		// replica set while step C timed the study's whole-run set.
+		return nil, fmt.Errorf("core: policy %q selects its own replicas; it cannot run with SimConfig.Replication enabled", policyName)
+	}
 
 	res := &TraceResult{Totals: totals}
 	var reg *metrics.Registry
-	if cfg.CollectMetrics {
+	if cfg.Instrument {
 		reg = metrics.New()
 	}
 	if cfg.Trace {

@@ -94,7 +94,7 @@ func snapshotBytes(s *metrics.Snapshot) int64 {
 		return 0
 	}
 	const entry = 64
-	n := int64(len(s.Counters)+len(s.Gauges)) * entry
+	n := int64(len(s.Counters)) * entry
 	for _, h := range s.Histograms {
 		n += entry + int64(len(h.Buckets))*int64(unsafe.Sizeof(metrics.Bucket{}))
 	}

@@ -248,8 +248,7 @@ func TestWindowMemoMatchesSimulation(t *testing.T) {
 		// An instrumented variant exercises the metrics and attribution
 		// copies as well.
 		cfg := tinySim()
-		cfg.CollectMetrics = true
-		cfg.Attrib = true
+		cfg.Instrument = true
 		p, err := NewPlan(sys, cfg, newGen())
 		if err != nil {
 			t.Fatal(err)

@@ -26,13 +26,11 @@ type CLIFlags struct {
 	CacheDir  string
 	NoCache   bool
 	Progress  bool
-	// Metrics is the run-manifest output path; non-empty enables
-	// instrumentation collection (core.SimConfig.CollectMetrics).
+	// Metrics is the run-manifest output path; non-empty turns on
+	// core.SimConfig.Instrument, so every run in the manifest carries
+	// its metrics and stall profile (read by `starnuma metrics` and
+	// `starnuma prof`).
 	Metrics string
-	// Attrib is the stall-attribution document output path; non-empty
-	// enables the per-window stall ledger (core.SimConfig.Attrib) and
-	// writes an attrib.Doc readable by `starnuma prof`.
-	Attrib string
 	// Faults is a fault-plan JSON file; non-empty loads it into
 	// core.SimConfig.Faults so every experiment runs under the plan.
 	Faults string
@@ -58,8 +56,7 @@ func AddCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	fs.StringVar(&f.CacheDir, "cache", runner.DefaultCacheDir, "result cache directory")
 	fs.BoolVar(&f.NoCache, "nocache", false, "disable the persistent result cache")
 	fs.BoolVar(&f.Progress, "progress", false, "report job progress on stderr")
-	fs.StringVar(&f.Metrics, "metrics", "", "collect instrumentation and write a run manifest to this JSON file")
-	fs.StringVar(&f.Attrib, "attrib", "", "attribute stall time and write a profile document to this JSON file (see: starnuma prof)")
+	fs.StringVar(&f.Metrics, "metrics", "", "collect metrics and stall profiles and write a run manifest to this JSON file (see: starnuma metrics, starnuma prof)")
 	fs.StringVar(&f.Faults, "faults", "", "run under the fault-injection plan in this JSON file (internal/fault)")
 	fs.StringVar(&f.Policy, "policy", "", `migration policy as "name" or "name:{json-params}" (see: starnuma policy list)`)
 	fs.StringVar(&f.Trace, "trace", "", "record an event trace (Perfetto/chrome://tracing JSON) to this file; disables the result cache")
@@ -95,8 +92,7 @@ func (f *CLIFlags) Options(progressW io.Writer) (Options, error) {
 	if f.Progress && progressW != nil {
 		opts.Reporter = runner.NewTerminalReporter(progressW)
 	}
-	opts.Sim.CollectMetrics = f.Metrics != ""
-	opts.Sim.Attrib = f.Attrib != ""
+	opts.Sim.Instrument = f.Metrics != ""
 	if f.Trace != "" {
 		opts.Trace = f.Trace
 		opts.Sim.Trace = true
@@ -132,16 +128,10 @@ func (f *CLIFlags) Options(progressW io.Writer) (Options, error) {
 }
 
 // WriteOutputs writes the run artifacts the flags ask for once r has
-// run its experiments: the -metrics manifest, the -attrib stall
-// profiles and the -trace timeline.
+// run its experiments: the -metrics manifest and the -trace timeline.
 func (f *CLIFlags) WriteOutputs(r *Runner) error {
 	if f.Metrics != "" {
 		if err := r.WriteManifest(f.Metrics); err != nil {
-			return err
-		}
-	}
-	if f.Attrib != "" {
-		if err := r.WriteStallProfiles(f.Attrib); err != nil {
 			return err
 		}
 	}

@@ -172,7 +172,7 @@ type memoRun struct {
 }
 
 // memoRuns snapshots the memo sorted by key, so the artifacts built
-// from it (manifest, stall profiles, trace) encode identical run sets
+// from it (manifest, trace) encode identical run sets
 // byte-identically.
 func (r *Runner) memoRuns() []memoRun {
 	r.mu.Lock()

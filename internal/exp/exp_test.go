@@ -458,8 +458,8 @@ func TestCLIFlagsOptions(t *testing.T) {
 	if o.CacheDir != "" {
 		t.Errorf("nocache left CacheDir %q", o.CacheDir)
 	}
-	if !o.Sim.CollectMetrics {
-		t.Error("-metrics did not enable collection")
+	if !o.Sim.Instrument {
+		t.Error("-metrics did not enable instrumentation")
 	}
 
 	// Without -metrics, collection stays off.
@@ -472,7 +472,7 @@ func TestCLIFlagsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o2.Sim.CollectMetrics {
+	if o2.Sim.Instrument {
 		t.Error("collection on by default")
 	}
 	if o2.CacheDir == "" {

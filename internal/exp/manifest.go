@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 
+	"starnuma/internal/attrib"
+	"starnuma/internal/core"
 	"starnuma/internal/metrics"
 )
 
@@ -13,8 +15,8 @@ import (
 const ManifestSchema = "starnuma-run-manifest-v1"
 
 // ManifestRun is one simulated (variant, workload) pair of a manifest:
-// its memo key, headline results, and the instrumentation snapshot when
-// collection was enabled.
+// its memo key, headline results, and, when the run was instrumented,
+// its metrics snapshot and stall-attribution profile.
 type ManifestRun struct {
 	// Key is the runner's memo key, "variant|workload".
 	Key      string            `json:"key"`
@@ -24,6 +26,7 @@ type ManifestRun struct {
 	IPC      float64           `json:"ipc"`
 	MPKI     float64           `json:"mpki"`
 	Metrics  *metrics.Snapshot `json:"metrics,omitempty"`
+	Profile  *attrib.Profile   `json:"profile,omitempty"`
 }
 
 // Manifest is the -metrics output document: every simulation the
@@ -47,18 +50,23 @@ func (r *Runner) Manifest() *Manifest {
 		Jobs:   r.exec.Jobs(),
 	}
 	for _, run := range r.memoRuns() {
-		res := run.res
-		m.Runs = append(m.Runs, ManifestRun{
-			Key:      run.key,
-			Workload: res.Workload,
-			Policy:   res.Policy.String(),
-			Tracker:  res.Tracker,
-			IPC:      res.IPC,
-			MPKI:     res.MPKI,
-			Metrics:  res.Metrics,
-		})
+		m.Runs = append(m.Runs, NewManifestRun(run.key, run.res))
 	}
 	return m
+}
+
+// NewManifestRun labels one result with key as a manifest run.
+func NewManifestRun(key string, res *core.Result) ManifestRun {
+	return ManifestRun{
+		Key:      key,
+		Workload: res.Workload,
+		Policy:   res.Policy.String(),
+		Tracker:  res.Tracker,
+		IPC:      res.IPC,
+		MPKI:     res.MPKI,
+		Metrics:  res.Metrics,
+		Profile:  res.Profile,
+	}
 }
 
 // WriteManifest writes the runner's manifest as indented JSON to path.

@@ -32,17 +32,17 @@ func TestMetricNamespaceDocumented(t *testing.T) {
 	cfg.PhaseInstr = 200_000
 	cfg.TimedInstr = 20_000
 	cfg.WarmupInstr = 2_000
-	cfg.CollectMetrics = true
-	// Attribution on, so the check covers a ledger-carrying run: its
-	// totals live in Result.Profile and emit no attrib/* metric keys.
-	cfg.Attrib = true
+	// Instrumentation on also runs the stall ledger, so the check covers
+	// a ledger-carrying run: its totals live in Result.Profile and emit
+	// no attrib/* metric keys.
+	cfg.Instrument = true
 	cfg.Faults = fault.FlapPlan()
 	res, err := core.Run(core.StarNUMASystem(), cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics.Empty() {
-		t.Fatal("CollectMetrics=true produced an empty snapshot")
+		t.Fatal("Instrument=true produced an empty snapshot")
 	}
 
 	prefixes := make(map[string]bool)
@@ -57,9 +57,6 @@ func TestMetricNamespaceDocumented(t *testing.T) {
 	for name := range res.Metrics.Counters {
 		collect(name)
 	}
-	for name := range res.Metrics.Gauges {
-		collect(name)
-	}
 	for name := range res.Metrics.Histograms {
 		collect(name)
 	}
@@ -71,7 +68,7 @@ func TestMetricNamespaceDocumented(t *testing.T) {
 		t.Error("metrics carry attrib/* keys; stall totals belong to Result.Profile only")
 	}
 	if res.Profile == nil {
-		t.Error("Attrib=true produced no stall profile")
+		t.Error("Instrument=true produced no stall profile")
 	}
 
 	var missing []string

@@ -53,14 +53,14 @@ func (r *Runner) PolicySweep() (*Table, error) {
 		perPlan []float64
 		overall float64
 		// stalls aggregates the policy's stall attribution across every
-		// (plan, workload) run when -attrib is enabled.
+		// (plan, workload) run when instrumentation is on.
 		stalls []int64
 	}
 	rows := make([]ranked, 0, len(pols))
 	idx := 1 // g[0] is the baseline anchor
 	for _, d := range pols {
 		rk := ranked{name: d.Name}
-		if r.opts.Sim.Attrib {
+		if r.opts.Sim.Instrument {
 			rk.stalls = make([]int64, attrib.NumCategories)
 		}
 		var all []float64
@@ -71,8 +71,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 				ratios = append(ratios, s)
 				all = append(all, s)
 				if rk.stalls != nil && res.Profile != nil {
-					// Cache recalls of attribution-off entries carry no
-					// profile; mismatched shapes are skipped the same way.
+					// A profile of a mismatched shape is skipped.
 					_ = res.Profile.AddCategoryTotals(rk.stalls)
 				}
 			}
@@ -99,7 +98,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 			"overall"},
 		Notes: "extension (§V-B/§VI): leaderboard across fault plans, all on the pooled system, normalized to the fault-free pool-less perfect baseline; the zero-cost oracle must rank first (Fig. 9: static oracle 1.46x vs dynamic 1.31x) — a dynamic policy beating it would signal a modeling bug",
 	}
-	if r.opts.Sim.Attrib {
+	if r.opts.Sim.Instrument {
 		t.Columns = append(t.Columns, "top-stall", "top-stall-share")
 	}
 	for i, rk := range rows {
@@ -119,8 +118,7 @@ func (r *Runner) PolicySweep() (*Table, error) {
 
 // topStall names the dominant stall category of an attribution
 // aggregate and its share of total stall time; "-" cells when the
-// aggregate is empty (e.g. every run recalled from an attribution-off
-// cache entry).
+// aggregate is empty.
 func topStall(totals []int64) (name, share string) {
 	var sum, best int64
 	bi := -1

@@ -1,6 +1,5 @@
 // Package metricname statically validates every metric name passed to
-// an internal/metrics emission site (Registry.Add / SetGauge / Observe
-// / Point).
+// an internal/metrics emission site (Registry.Add / Observe / Point).
 //
 // The runtime gate TestMetricNamespaceDocumented only sees names a
 // particular simulation happens to emit; this analyzer sees them all at
@@ -37,10 +36,9 @@ const metricsPkg = "starnuma/internal/metrics"
 // nameMethods maps emission-method names to the index of the name
 // argument.
 var nameMethods = map[string]int{
-	"Add":      0,
-	"SetGauge": 0,
-	"Observe":  0,
-	"Point":    0,
+	"Add":     0,
+	"Observe": 0,
+	"Point":   0,
 }
 
 var nameRE = regexp.MustCompile(`^[a-z0-9_-]+(/[a-z0-9_-]+)+$`)

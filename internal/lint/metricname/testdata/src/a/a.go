@@ -16,7 +16,7 @@ func emit(m *metrics.Registry, kind string, i int) {
 	m.Add(name+"/messages", 1) // single-assignment local
 
 	m.Add("Bad/Name", 1)                // want `does not match the namespace grammar`
-	m.SetGauge("bad name/x", 1)         // want `does not match the namespace grammar`
+	m.Observe("bad name/x", 1)          // want `does not match the namespace grammar`
 	m.Add("flat", 1)                    // want `does not match the namespace grammar`
 	m.Add("undoc/x", 1)                 // want `metric namespace "undoc" is undocumented`
 	m.Add(kind, 1)                      // want `cannot be statically resolved`

@@ -11,7 +11,6 @@ func fuzzSeed(f *testing.F) []byte {
 	r := New()
 	r.Add("link/upi/s0-s1/tx_bytes", 123456)
 	r.Add("sim/events/wake", 42)
-	r.SetGauge("sim/queue_depth_max", 17)
 	for _, v := range []int64{0, 1, 100, 100000} {
 		r.Observe("sim/queue_depth", v)
 	}

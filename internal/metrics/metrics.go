@@ -1,5 +1,5 @@
 // Package metrics is the simulator's instrumentation substrate: a
-// typed registry of counters, gauges, histograms and sim-time-bucketed
+// typed registry of counters, histograms and sim-time-bucketed
 // time series, keyed by hierarchical slash-separated names such as
 // "link/upi/s0-s1/tx_bytes".
 //
@@ -22,7 +22,6 @@ import (
 // merging the resulting Snapshots in checkpoint order.
 type Registry struct {
 	counters map[string]uint64
-	gauges   map[string]float64
 	hists    map[string]*histogram
 	series   map[string][]Point
 }
@@ -45,19 +44,6 @@ func (r *Registry) Add(name string, delta uint64) {
 		r.counters = make(map[string]uint64)
 	}
 	r.counters[name] += delta
-}
-
-// SetGauge records the latest value of the named gauge.
-//
-//starnuma:hotpath
-func (r *Registry) SetGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	if r.gauges == nil {
-		r.gauges = make(map[string]float64)
-	}
-	r.gauges[name] = v
 }
 
 // Observe folds v into the named histogram (power-of-two buckets).
@@ -146,12 +132,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Counters = make(map[string]uint64, len(r.counters))
 		for k, v := range r.counters {
 			s.Counters[k] = v
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for k, v := range r.gauges {
-			s.Gauges[k] = v
 		}
 	}
 	if len(r.hists) > 0 {

@@ -12,7 +12,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	// None of these may panic.
 	r.Add("a", 1)
-	r.SetGauge("g", 2)
 	r.Observe("h", 3)
 	r.Point("s", 0, 4)
 	if snap := r.Snapshot(); snap != nil {
@@ -30,8 +29,6 @@ func TestRegistryAccumulates(t *testing.T) {
 	r := New()
 	r.Add("c", 2)
 	r.Add("c", 3)
-	r.SetGauge("g", 1.5)
-	r.SetGauge("g", 2.5)
 	r.Observe("h", 1)
 	r.Observe("h", 7)
 	r.Point("s", 0, 10)
@@ -39,9 +36,6 @@ func TestRegistryAccumulates(t *testing.T) {
 	s := r.Snapshot()
 	if s.Counters["c"] != 5 {
 		t.Errorf("counter = %d, want 5", s.Counters["c"])
-	}
-	if s.Gauges["g"] != 2.5 {
-		t.Errorf("gauge = %v, want 2.5", s.Gauges["g"])
 	}
 	h := s.Histograms["h"]
 	if h.Count != 2 || h.Sum != 8 || h.Min != 1 || h.Max != 7 {
@@ -142,7 +136,6 @@ func TestDumpDeterministicAndSorted(t *testing.T) {
 		// Insert in scrambled order; Dump must sort.
 		r.Add("z/last", 1)
 		r.Add("a/first", 2)
-		r.SetGauge("m/gauge", 3)
 		r.Observe("h/hist", 4)
 		r.Point("s/series", 0, 5)
 		return r.Snapshot()
@@ -151,7 +144,7 @@ func TestDumpDeterministicAndSorted(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("dump not deterministic:\n%s\nvs\n%s", d1, d2)
 	}
-	want := "counter a/first 2\ncounter z/last 1\ngauge m/gauge 3\n" +
+	want := "counter a/first 2\ncounter z/last 1\n" +
 		"hist h/hist count=1 sum=4 min=4 max=4 mean=4.000\nseries s/series 0:5\n"
 	if d1 != want {
 		t.Fatalf("dump = %q, want %q", d1, want)
@@ -165,9 +158,9 @@ func TestDumpDeterministicAndSorted(t *testing.T) {
 func TestNames(t *testing.T) {
 	r := New()
 	r.Add("b", 1)
-	r.SetGauge("a", 1)
 	r.Observe("c", 1)
-	r.Point("a", 0, 1) // duplicate across sections
+	r.Point("a", 0, 1)
+	r.Observe("b", 1) // duplicate across sections
 	got := r.Snapshot().Names()
 	want := []string{"a", "b", "c"}
 	if !reflect.DeepEqual(got, want) {
@@ -178,7 +171,6 @@ func TestNames(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := New()
 	r.Add("c", 42)
-	r.SetGauge("g", 0.125)
 	r.Observe("h", 9)
 	r.Point("s", 3, 1.5)
 	s := r.Snapshot()

@@ -86,14 +86,13 @@ func (h Histogram) merge(o Histogram) Histogram {
 // simulation alone.
 type Snapshot struct {
 	Counters   map[string]uint64    `json:"counters,omitempty"`
-	Gauges     map[string]float64   `json:"gauges,omitempty"`
 	Histograms map[string]Histogram `json:"histograms,omitempty"`
 	Series     map[string][]Point   `json:"series,omitempty"`
 }
 
 // Empty reports whether the snapshot carries no metrics at all.
 func (s *Snapshot) Empty() bool {
-	return s == nil || (len(s.Counters) == 0 && len(s.Gauges) == 0 &&
+	return s == nil || (len(s.Counters) == 0 &&
 		len(s.Histograms) == 0 && len(s.Series) == 0)
 }
 
@@ -107,8 +106,7 @@ func (s *Snapshot) Clone() *Snapshot {
 	return c
 }
 
-// Merge folds o into s: counters and histograms sum, gauges take o's
-// value (last writer wins, so merge in checkpoint order), and series
+// Merge folds o into s: counters and histograms sum, and series
 // points accumulate sorted by T (stable, so same-T points keep merge
 // order). Merging in checkpoint order therefore yields identical
 // snapshots regardless of how the windows were executed.
@@ -121,12 +119,6 @@ func (s *Snapshot) Merge(o *Snapshot) {
 			s.Counters = make(map[string]uint64, len(o.Counters))
 		}
 		s.Counters[k] += o.Counters[k]
-	}
-	for _, k := range sortedKeys(o.Gauges) {
-		if s.Gauges == nil {
-			s.Gauges = make(map[string]float64, len(o.Gauges))
-		}
-		s.Gauges[k] = o.Gauges[k]
 	}
 	for _, k := range sortedKeys(o.Histograms) {
 		if s.Histograms == nil {
@@ -171,7 +163,6 @@ func (s *Snapshot) Names() []string {
 		}
 	}
 	add(sortedKeys(s.Counters))
-	add(sortedKeys(s.Gauges))
 	add(sortedKeys(s.Histograms))
 	add(sortedKeys(s.Series))
 	sort.Strings(names)
@@ -203,9 +194,6 @@ func (s *Snapshot) Dump() string {
 	var b strings.Builder
 	for _, k := range sortedKeys(s.Counters) {
 		fmt.Fprintf(&b, "counter %s %d\n", k, s.Counters[k])
-	}
-	for _, k := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&b, "gauge %s %g\n", k, s.Gauges[k])
 	}
 	for _, k := range sortedKeys(s.Histograms) {
 		h := s.Histograms[k]

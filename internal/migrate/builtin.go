@@ -189,10 +189,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			rc := env.Replication
-			if !rc.Enable {
-				rc = DefaultReplicationConfig()
-			}
+			rc := DefaultReplicationConfig()
 			rc.Enable = true
 			rc.MinSharers = int(p.Get("min_sharers", float64(rc.MinSharers)))
 			rc.MaxWriteFrac = p.Get("max_write_frac", rc.MaxWriteFrac)

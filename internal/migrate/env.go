@@ -48,11 +48,6 @@ type PolicyEnv struct {
 	// family).
 	BaseMigration Config
 
-	// Replication carries the SimConfig.Replication knobs; the
-	// replication policy falls back to DefaultReplicationConfig when the
-	// study section is not enabled.
-	Replication ReplicationConfig
-
 	// Link reports the health outlook of the socket↔pool fabric for the
 	// given phase's timing window (bandwidth-aware policies). Never nil
 	// after NewPolicy; the default reports a healthy link.

@@ -147,20 +147,20 @@ func TestTraceDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestAttribDeterminismAcrossWorkerCounts is the stall-attribution
-// analogue: with SimConfig.Attrib enabled, the serialized Results —
-// including the per-window attribution profile — must be byte-identical
-// at 1 and 8 workers, and every profile must conserve stall time
-// exactly (ISSUE acceptance criterion).
-func TestAttribDeterminismAcrossWorkerCounts(t *testing.T) {
+// TestInstrumentDeterminismAcrossWorkerCounts is the instrumented
+// analogue: with SimConfig.Instrument on, the serialized Results —
+// the metrics snapshot and the per-window stall profile included — must
+// be byte-identical at 1 and 8 workers, and every profile must conserve
+// stall time exactly.
+func TestInstrumentDeterminismAcrossWorkerCounts(t *testing.T) {
 	spec := tinySpec(t, "CC")
 
 	cfg := tinySim()
 	cfg.Policy = core.PolicyStarNUMA
-	cfg.Attrib = true
+	cfg.Instrument = true
 	cfgB := tinySim()
 	cfgB.Policy = core.PolicyPerfectBaseline
-	cfgB.Attrib = true
+	cfgB.Instrument = true
 
 	jobs := []Job{
 		{Label: "baseline/CC", Sys: core.BaselineSystem(), Cfg: cfgB, Spec: spec},
@@ -175,8 +175,8 @@ func TestAttribDeterminismAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("jobs=%d: %v", workers, err)
 		}
 		for i, r := range results {
-			if r.Profile == nil {
-				t.Fatalf("%s: Attrib=true but Result.Profile is nil", jobs[i].Label)
+			if r.Metrics.Empty() || r.Profile == nil {
+				t.Fatalf("%s: Instrument=true but Result.Metrics empty or Result.Profile nil", jobs[i].Label)
 			}
 			if err := r.Profile.CheckConservation(); err != nil {
 				t.Fatalf("%s at jobs=%d: %v", jobs[i].Label, workers, err)
@@ -188,7 +188,7 @@ func TestAttribDeterminismAcrossWorkerCounts(t *testing.T) {
 			continue
 		}
 		if string(b) != string(ref) {
-			t.Fatalf("attributed results at jobs=%d differ from jobs=1 (%d vs %d bytes)",
+			t.Fatalf("instrumented results at jobs=%d differ from jobs=1 (%d vs %d bytes)",
 				workers, len(b), len(ref))
 		}
 	}

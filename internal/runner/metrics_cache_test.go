@@ -7,15 +7,15 @@ import (
 	"starnuma/internal/core"
 )
 
-// TestCachePreservesMetrics: a metrics-bearing result survives the
+// TestCachePreservesMetrics: an instrumented result survives the
 // content-addressed cache byte for byte — a cache hit reproduces the
-// exact snapshot the cold run collected.
+// exact metrics snapshot and stall profile the cold run collected.
 func TestCachePreservesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	sys := core.StarNUMASystem()
 	cfg := tinySim()
 	cfg.Policy = core.PolicyStarNUMA
-	cfg.CollectMetrics = true
+	cfg.Instrument = true
 	spec := tinySpec(t, "BFS")
 
 	cold := New(Config{Jobs: 2, CacheDir: dir})
@@ -23,8 +23,8 @@ func TestCachePreservesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Metrics.Empty() {
-		t.Fatal("cold run collected no metrics")
+	if want.Metrics.Empty() || want.Profile == nil {
+		t.Fatal("cold run collected no metrics or no stall profile")
 	}
 
 	warm := New(Config{Jobs: 2, CacheDir: dir})
@@ -39,11 +39,14 @@ func TestCachePreservesMetrics(t *testing.T) {
 		t.Errorf("metrics changed across the cache:\nwant %s\ngot  %s",
 			want.Metrics.Dump(), got.Metrics.Dump())
 	}
+	if !reflect.DeepEqual(want.Profile, got.Profile) {
+		t.Error("stall profile changed across the cache")
+	}
 }
 
-// TestCacheKeySeparatesMetricsFlag: CollectMetrics participates in the
-// cache key, so a metrics-off run never serves a stale metrics-on entry
-// or vice versa.
+// TestCacheKeySeparatesMetricsFlag: Instrument participates in the
+// cache key, so an uninstrumented run never serves a stale instrumented
+// entry or vice versa.
 func TestCacheKeySeparatesMetricsFlag(t *testing.T) {
 	c := newResultCache(t.TempDir(), "")
 	sys := core.StarNUMASystem()
@@ -54,12 +57,12 @@ func TestCacheKeySeparatesMetricsFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.CollectMetrics = true
+	cfg.Instrument = true
 	on, err := c.key(sys, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off == on {
-		t.Error("cache key ignores CollectMetrics")
+		t.Error("cache key ignores Instrument")
 	}
 }

@@ -177,7 +177,7 @@ func (c *Compiled) drainCapacity(name string) int {
 }
 
 // lookupMetric resolves a metric name against the snapshot, trying the
-// namespaces in a fixed order: counters, gauges, histograms (mean),
+// namespaces in a fixed order: counters, histograms (mean),
 // series (sum of point values).
 func lookupMetric(s *metrics.Snapshot, name string) (float64, bool) {
 	if s == nil {
@@ -185,9 +185,6 @@ func lookupMetric(s *metrics.Snapshot, name string) (float64, bool) {
 	}
 	if v, ok := s.Counters[name]; ok {
 		return float64(v), true
-	}
-	if v, ok := s.Gauges[name]; ok {
-		return v, true
 	}
 	if h, ok := s.Histograms[name]; ok {
 		return h.Mean(), true

@@ -174,18 +174,16 @@ func TestVerdictEncodeDeterministic(t *testing.T) {
 func TestLookupMetricOrder(t *testing.T) {
 	s := &metrics.Snapshot{
 		Counters:   map[string]uint64{"x": 1},
-		Gauges:     map[string]float64{"x": 2, "g": 2.5},
-		Histograms: map[string]metrics.Histogram{"h": {Count: 2, Sum: 10}},
+		Histograms: map[string]metrics.Histogram{"x": {Count: 1, Sum: 2}, "h": {Count: 2, Sum: 10}},
 		Series:     map[string][]metrics.Point{"s": {{T: 0, V: 1}, {T: 1, V: 2}}},
 	}
 	cases := []struct {
 		name string
 		want float64
 	}{
-		{"x", 1},   // counter shadows the gauge
-		{"g", 2.5}, // gauge
-		{"h", 5},   // histogram mean
-		{"s", 3},   // series point sum
+		{"x", 1}, // counter shadows the histogram
+		{"h", 5}, // histogram mean
+		{"s", 3}, // series point sum
 	}
 	for _, tc := range cases {
 		got, ok := lookupMetric(s, tc.name)

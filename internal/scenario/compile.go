@@ -163,20 +163,13 @@ func (c *Compiled) compileSim() {
 	} else {
 		cfg.Tracker = tracker.T16
 	}
-	// Metric assertions read the instrumentation snapshot, so their
-	// presence enables collection (it is passive: results stay
-	// bit-identical, and the flag is part of the cache key).
+	// Metric and stall-fraction assertions read the instrumentation
+	// snapshot and the attribution profile, so their presence turns
+	// instrumentation on (it is passive: results stay bit-identical,
+	// and the flag is part of the cache key).
 	for _, a := range s.Assertions {
-		if a.Kind == KindMetric {
-			cfg.CollectMetrics = true
-			break
-		}
-	}
-	// Stall-fraction assertions read the attribution profile, so their
-	// presence enables the stall ledger (same passivity contract).
-	for _, a := range s.Assertions {
-		if a.Kind == KindStallFrac {
-			cfg.Attrib = true
+		if a.Kind == KindMetric || a.Kind == KindStallFrac {
+			cfg.Instrument = true
 			break
 		}
 	}

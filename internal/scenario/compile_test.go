@@ -71,8 +71,8 @@ func TestCompileFull(t *testing.T) {
 	if !c.NeedsRef || c.NeedsBase {
 		t.Errorf("NeedsRef/NeedsBase = %v/%v", c.NeedsRef, c.NeedsBase)
 	}
-	if c.Cfg.CollectMetrics {
-		t.Error("CollectMetrics should be off without metric assertions")
+	if c.Cfg.Instrument {
+		t.Error("Instrument should be off without metric assertions")
 	}
 	if c.Hash == "" || c.Hash != c.Scenario.Hash() {
 		t.Error("compiled hash must match the scenario hash")
@@ -90,8 +90,8 @@ func TestCompileBaselineSpeedupAndMetrics(t *testing.T) {
 	if !c.NeedsBase || c.NeedsRef {
 		t.Errorf("NeedsBase/NeedsRef = %v/%v", c.NeedsBase, c.NeedsRef)
 	}
-	if !c.Cfg.CollectMetrics {
-		t.Error("metric assertion must enable CollectMetrics")
+	if !c.Cfg.Instrument {
+		t.Error("metric assertion must enable Instrument")
 	}
 	// The baseline runs the perfect-baseline policy on a pool-less system
 	// with the scenario's topology shape.
@@ -178,21 +178,18 @@ func TestCompileStallFracEnablesAttrib(t *testing.T) {
 		"assertions": [
 			{"kind": "stall_frac", "category": "cxl-queue", "op": ">=", "value": 0.1}
 		]}`)
-	if !c.Cfg.Attrib {
-		t.Error("stall_frac assertion must enable Attrib")
+	if !c.Cfg.Instrument {
+		t.Error("stall_frac assertion must enable Instrument")
 	}
-	if !c.RefCfg.Attrib {
-		t.Error("the no-events reference must share the Attrib flag (same cache-key methodology)")
+	if !c.RefCfg.Instrument {
+		t.Error("the no-events reference must share the Instrument flag (same cache-key methodology)")
 	}
-	if c.Cfg.CollectMetrics {
-		t.Error("stall_frac must not drag CollectMetrics along")
-	}
-	// And absent a stall_frac assertion, the ledger stays off.
+	// And absent a stall_frac assertion, instrumentation stays off.
 	c2 := mustCompile(t, `{
 		"schema": "starnuma-scenario-v2", "name": "x",
 		"workloads": [{"name": "BFS"}],
 		"assertions": [{"kind": "ipc", "op": ">", "value": 0}]}`)
-	if c2.Cfg.Attrib {
-		t.Error("Attrib should be off without stall_frac assertions")
+	if c2.Cfg.Instrument {
+		t.Error("Instrument should be off without stall_frac or metric assertions")
 	}
 }

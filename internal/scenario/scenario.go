@@ -141,18 +141,17 @@ const (
 	// the paper's pool-less perfect baseline (vs "baseline").
 	KindSpeedup = "speedup"
 	// KindMetric compares an internal/metrics value by namespace name
-	// (e.g. "migrate/pages_to_pool"); counters and gauges compare their
-	// value, histograms their mean, series the sum of their points.
-	// Using it enables instrumentation collection for the run.
+	// (e.g. "migrate/pages_to_pool"); counters compare their value,
+	// histograms their mean, series the sum of their points. Using it
+	// turns SimConfig.Instrument on for the run.
 	KindMetric = "metric"
 	// KindFaultCounter compares a Result fault counter:
 	// "degraded_sends", "flap_retries" or "drained_pages".
 	KindFaultCounter = "fault_counter"
 	// KindStallFrac compares one stall-attribution category's fraction
 	// of total stall time (internal/attrib; e.g. category "cxl-queue")
-	// against value in [0,1]. Using it enables the stall ledger for the
-	// run (passive: results stay bit-identical, the flag is part of the
-	// cache key).
+	// against value in [0,1]. Using it turns SimConfig.Instrument on
+	// for the run.
 	KindStallFrac = "stall_frac"
 	// KindPoolPages compares the pages resident in the pool at the end
 	// of the run against value.

@@ -21,7 +21,7 @@ func TestReplayMatchesGenerator(t *testing.T) {
 	}
 	cfg := core.QuickSim()
 	cfg.Phases = 2
-	cfg.Attrib = true
+	cfg.Instrument = true
 	sys := core.StarNUMASystem()
 	for _, name := range []string{"TPCC", "BFS", "Masstree"} {
 		t.Run(name, func(t *testing.T) {
@@ -63,7 +63,7 @@ func TestReplayMatchesGenerator(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fromGen.Profile == nil {
-				t.Fatal("no attribution profile with Attrib on")
+				t.Fatal("no attribution profile with Instrument on")
 			}
 			want, err := json.Marshal(fromGen)
 			if err != nil {

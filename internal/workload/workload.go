@@ -147,8 +147,9 @@ func (s Spec) Validate(sockets int) error {
 //	1/IPC_single = 1/IPC_0 + MPKI/1000 × localMissCycles / MLP
 //
 // The result is clamped to [0.05, issue width 4]; the clamp engages for
-// extremely memory-bound workloads (SSSP) whose single-socket IPC is
-// itself almost entirely miss time.
+// extremely memory-bound workloads (SSSP, and BFS: 1/0.69 − 32/1000 ×
+// 192/4 = −0.087) whose single-socket IPC is itself almost entirely
+// miss time.
 func (s Spec) ZeroLoadIPC(localMissCycles float64) float64 {
 	inv := 1/s.SingleSocketIPC - s.MPKI/1000*localMissCycles/float64(s.MLP)
 	ipc := math.Inf(1)
