@@ -20,7 +20,7 @@
 //	starnuma policy list                               # the internal/migrate policy registry
 //	starnuma metrics dump|diff|top manifest.json       # -metrics manifests, result-cache entries
 //	starnuma prof report|diff|flame manifest.json      # their stall profiles
-//	starnuma trace summarize|slice|top|export trace.json
+//	starnuma trace summarize|slice|top trace.json
 //	starnuma workload list                             # workload models (Table III)
 //	starnuma workload show BFS                         # page classes, Fig. 2/13 sharing table
 //	starnuma workload dump -workload BFS -phase 0 -o bfs.p0.sntr  # step-A miss trace (§IV-A1)

@@ -19,9 +19,8 @@ var traceGroup = group{
 `,
 	cmds: []command{
 		{"summarize", "[-require cats] trace.json", "per-category event/span counts and durations", traceSummarize},
-		{"slice", "-from T -to T [-cat cats] [-o out.json] trace.json", "filter by time range and/or categories and re-encode", traceSlice},
+		{"slice", "[-from T] [-to T] [-cat cats] [-o out.json] trace.json", "validate, filter by time range and/or categories, and canonically re-encode (no flags: the whole trace)", traceSlice},
 		{"top", "[-n N] [-cat cats] trace.json", "list the longest spans", traceTop},
-		{"export", "[-o out.json] trace.json", "validate and canonically re-encode a trace", traceExport},
 	},
 }
 
@@ -131,6 +130,9 @@ func filter(tr *evtrace.Trace, from, to sim.Time, cats map[string]bool) *evtrace
 	return out
 }
 
+// traceSlice validates a trace and re-encodes the events filter keeps.
+// With no flags filter keeps every event, so the output is the trace's
+// canonical encoding.
 func traceSlice(fs *flag.FlagSet, args []string) error {
 	fromS := fs.String("from", "0", "range start (e.g. 10us)")
 	toS := fs.String("to", "0", "range end (0 = unbounded)")
@@ -138,6 +140,9 @@ func traceSlice(fs *flag.FlagSet, args []string) error {
 	out := fs.String("o", "", "output file (default stdout)")
 	tr, err := loadTrace(fs, args)
 	if err != nil {
+		return err
+	}
+	if err := tr.Validate(); err != nil {
 		return err
 	}
 	from, err := parseTime(*fromS)
@@ -189,20 +194,4 @@ func traceTop(fs *flag.FlagSet, args []string) error {
 			e.Cat, e.Name, e.Ts.Nanos()/1000, e.Dur.Nanos()/1000)
 	}
 	return nil
-}
-
-func traceExport(fs *flag.FlagSet, args []string) error {
-	out := fs.String("o", "", "output file (default stdout)")
-	tr, err := loadTrace(fs, args)
-	if err != nil {
-		return err
-	}
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	b, err := tr.Encode()
-	if err != nil {
-		return err
-	}
-	return writeOut(*out, b)
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"starnuma/internal/evtrace"
@@ -75,5 +78,46 @@ func TestCatSet(t *testing.T) {
 	set := catSet("migrate, window,")
 	if len(set) != 2 || !set["migrate"] || !set["window"] {
 		t.Errorf("catSet = %v", set)
+	}
+}
+
+// TestSliceWithoutFlagsReencodes: a flagless `trace slice` of a
+// recorded trace is its canonical encoding, Decode then Encode, and a
+// trace that fails Validate is rejected rather than re-encoded.
+func TestSliceWithoutFlagsReencodes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.json")
+	if _, stderr, code := runCLI(t, "-exp", "fig8a", "-quick", "-scale", "0.05", "-phases", "2",
+		"-workloads", "BFS", "-trace", path); code != exitOK {
+		t.Fatalf("recording the trace: exit %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := evtrace.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runCLI(t, "trace", "slice", path)
+	if code != exitOK || stdout != string(want) {
+		t.Errorf("trace slice: exit %d, %d bytes, want Decode+Encode's %d bytes: %s",
+			code, len(stdout), len(want), stderr)
+	}
+
+	// An event on a pid with no process_name metadata fails Validate.
+	bad := filepath.Join(dir, "bad.json")
+	doc := `{"traceEvents":[{"name":"w","cat":"window","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}]}`
+	if err := os.WriteFile(bad, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code = runCLI(t, "trace", "slice", bad)
+	if code != exitRuntime || stdout != "" || !strings.Contains(stderr, "process_name") {
+		t.Errorf("invalid trace: exit %d, stdout %q, stderr %q; want exit %d and a process_name error",
+			code, stdout, stderr, exitRuntime)
 	}
 }

@@ -2,15 +2,14 @@
 // determinism, units, hot-path, and observability contracts
 // (docs/STATIC_ANALYSIS.md catalogues every analyzer).
 //
-// Standalone:
+// Usage:
 //
-//	go run ./cmd/starnumavet ./...
-//	go run ./cmd/starnumavet -json -baseline lint.baseline.json ./...
+//	go run ./cmd/starnumavet ./...        # findings on stderr
+//	go run ./cmd/starnumavet -json ./...  # the byte-stable JSON report on stdout
 //
-// As a go vet tool:
-//
-//	go build -o /tmp/starnumavet ./cmd/starnumavet
-//	go vet -vettool=/tmp/starnumavet ./...
+// It exits 1 on any finding and 2 on a usage error; -json is its only
+// flag. A reasoned //starnumavet:allow directive on or above the flagged
+// line is the only way to accept a finding.
 //
 // Analyzers: detclock (no wall clock / env in simulation packages),
 // seedrand (RNGs flow from explicit config seeds), maporder (no

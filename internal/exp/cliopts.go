@@ -38,9 +38,10 @@ type CLIFlags struct {
 	// optionally with parameter overrides: "name" or "name:{json-params}"
 	// (e.g. `starnuma:{"hi_start":64}`). Empty keeps the default.
 	Policy string
-	// Trace is the event-trace output path; non-empty enables
-	// core.SimConfig.Trace, records the wall-clock runner lane, and
-	// disables the result cache (cache hits produce no events).
+	// Trace is the event-trace output path, copied to Options.Trace;
+	// non-empty, NewRunner enables core.SimConfig.Trace, records the
+	// wall-clock runner lane, and disables the result cache (cache hits
+	// produce no events).
 	Trace string
 }
 
@@ -93,19 +94,7 @@ func (f *CLIFlags) Options(progressW io.Writer) (Options, error) {
 		opts.Reporter = runner.NewTerminalReporter(progressW)
 	}
 	opts.Sim.Instrument = f.Metrics != ""
-	if f.Trace != "" {
-		opts.Trace = f.Trace
-		opts.Sim.Trace = true
-		// A cache hit skips simulation, so a cached run would record
-		// nothing; tracing forces recomputation.
-		opts.CacheDir = ""
-		opts.WallTrace = runner.NewTraceReporter()
-		if opts.Reporter != nil {
-			opts.Reporter = runner.MultiReporter{opts.Reporter, opts.WallTrace}
-		} else {
-			opts.Reporter = opts.WallTrace
-		}
-	}
+	opts.Trace = f.Trace
 	if f.Faults != "" {
 		data, err := os.ReadFile(f.Faults)
 		if err != nil {

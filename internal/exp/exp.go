@@ -85,13 +85,11 @@ type Options struct {
 	// Reporter observes job progress; nil = silent.
 	Reporter runner.Reporter
 
-	// Trace is the event-trace output path (WriteTrace); non-empty
-	// implies Sim.Trace. Set CacheDir empty alongside it: cache hits
-	// skip simulation and therefore contribute no events.
+	// Trace is the event-trace output path (WriteTrace). Non-empty, it
+	// is all a caller sets: NewRunner turns on Sim.Trace, records the
+	// wall-clock runner lane after Reporter, and turns the result cache
+	// off, since cache hits skip simulation and record no events.
 	Trace string
-	// WallTrace, when non-nil, is the wall-clock runner-lane recorder;
-	// it must also be wired into Reporter to observe anything.
-	WallTrace *runner.TraceReporter
 }
 
 // Quick returns bench/test-sized options (minutes for the full suite).
@@ -141,6 +139,8 @@ func (o Options) specs() ([]workload.Spec, error) {
 type Runner struct {
 	opts Options
 	exec *runner.Runner
+	// wall records the wall-clock runner lane when opts.Trace is set.
+	wall *runner.TraceReporter
 
 	mu   sync.Mutex
 	memo map[string]*core.Result
@@ -148,15 +148,24 @@ type Runner struct {
 
 // NewRunner creates a runner for the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
-		opts: opts,
-		exec: runner.New(runner.Config{
-			Jobs:     opts.Jobs,
-			CacheDir: opts.CacheDir,
-			Reporter: opts.Reporter,
-		}),
-		memo: make(map[string]*core.Result),
+	r := &Runner{memo: make(map[string]*core.Result)}
+	if opts.Trace != "" {
+		opts.Sim.Trace = true
+		opts.CacheDir = ""
+		r.wall = runner.NewTraceReporter()
+		if opts.Reporter != nil {
+			opts.Reporter = runner.MultiReporter{opts.Reporter, r.wall}
+		} else {
+			opts.Reporter = r.wall
+		}
 	}
+	r.opts = opts
+	r.exec = runner.New(runner.Config{
+		Jobs:     opts.Jobs,
+		CacheDir: opts.CacheDir,
+		Reporter: opts.Reporter,
+	})
+	return r
 }
 
 // Options returns the runner's options.

@@ -8,11 +8,11 @@ import (
 	"starnuma/internal/evtrace"
 )
 
-// WriteTrace assembles every memoised run's event-trace buffer — plus
-// the wall-clock runner lane, when Options.WallTrace observed the run —
-// into one Chrome trace_event JSON document at Options.Trace. Each
-// run's lanes are prefixed "variant/workload" (the memo key with "|"
-// replaced), so all simulations coexist on one Perfetto timeline.
+// WriteTrace assembles every memoised run's event-trace buffer, plus
+// the wall-clock runner lane NewRunner recorded, into one Chrome
+// trace_event JSON document at Options.Trace. Each run's lanes are
+// prefixed "variant/workload" (the memo key with "|" replaced), so all
+// simulations coexist on one Perfetto timeline.
 // No-op when Options.Trace is empty.
 func (r *Runner) WriteTrace() error {
 	path := r.opts.Trace
@@ -23,9 +23,7 @@ func (r *Runner) WriteTrace() error {
 	for _, run := range r.memoRuns() {
 		bd.Add(strings.ReplaceAll(run.key, "|", "/"), run.res.Trace)
 	}
-	if r.opts.WallTrace != nil {
-		bd.Add("", r.opts.WallTrace.Buffer())
-	}
+	bd.Add("", r.wall.Buffer())
 	tr := bd.Build()
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("exp: trace: %w", err)

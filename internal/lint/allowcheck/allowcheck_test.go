@@ -13,12 +13,7 @@ import (
 // driver pipeline, the way starnumavet does: floatdet's suppressed
 // findings mark their directives used, and allowcheck audits the rest.
 func TestAllowcheck(t *testing.T) {
-	old := floatdet.Analyzer.Flags.Lookup("packages").Value.String()
-	if err := floatdet.Analyzer.Flags.Set("packages", "a"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { floatdet.Analyzer.Flags.Set("packages", old) })
-
+	linttest.Set(t, &analysis.SimPackages, []string{"a"})
 	linttest.RunAnalyzers(t,
 		[]*analysis.Analyzer{floatdet.Analyzer, Analyzer},
 		filepath.Join("testdata", "src", "a"))

@@ -6,12 +6,17 @@
 // determinism lint suite needs:
 //
 //   - the Analyzer/Pass/Diagnostic contract analyzers are written
-//     against (this file);
+//     against, and SimPackages, the scope of the determinism contract
+//     (this file);
 //   - a package loader driving `go list -export` + go/importer for
-//     standalone runs and test fixtures (load.go);
-//   - the `go vet -vettool` unitchecker protocol (unitchecker.go);
-//   - a machine-readable diagnostics report with baseline diffing for
-//     CI (report.go).
+//     the driver and test fixtures alike (load.go);
+//   - the one driver, Main, which loads packages through `go list` and
+//     exits 1 on any finding (driver.go);
+//   - the byte-stable machine-readable diagnostics report -json prints
+//     (report.go).
+//
+// An analyzer has no flags: its scope is a package variable, which
+// fixture tests reassign for their duration.
 //
 // Analyzers written against this package look exactly like x/tools
 // analyzers, so they can be ported wholesale if the dependency policy
@@ -19,12 +24,10 @@
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -33,10 +36,6 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-
-	// Flags holds analyzer-specific flags, registered by the driver as
-	// -<name>.<flag> in multichecker mode.
-	Flags flag.FlagSet
 
 	// RunAfter marks a meta-analyzer that must run after every ordinary
 	// analyzer on the package: its pass observes the shared AllowIndex
@@ -325,31 +324,30 @@ func NewInfo() *types.Info {
 	}
 }
 
-// sortDiagnostics orders flat (position, analyzer, message) findings
-// deterministically.
-func sortDiagnostics(all []flatDiag) {
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.posn.Filename != b.posn.Filename {
-			return a.posn.Filename < b.posn.Filename
-		}
-		if a.posn.Line != b.posn.Line {
-			return a.posn.Line < b.posn.Line
-		}
-		if a.posn.Column != b.posn.Column {
-			return a.posn.Column < b.posn.Column
-		}
-		if a.analyzer != b.analyzer {
-			return a.analyzer < b.analyzer
-		}
-		return a.msg < b.msg
-	})
-}
-
-// flatDiag is one finding with its position resolved, the driver's
-// common currency for text output, JSON reports and baselines.
-type flatDiag struct {
-	posn     token.Position
-	analyzer string
-	msg      string
+// SimPackages is the set of packages bound by the determinism contract,
+// the scope of detclock, seedrand and floatdet: everything that executes
+// between a (system, sim, workload, seed) cache key and a Result must
+// be a pure function of that key. Only internal/runner, internal/exp,
+// internal/lint and cmd/ may read the wall clock or the environment —
+// they sit outside the cached computation.
+var SimPackages = []string{
+	"starnuma/internal/attrib",
+	"starnuma/internal/fault",
+	"starnuma/internal/scenario",
+	"starnuma/internal/metrics",
+	"starnuma/internal/sim",
+	"starnuma/internal/core",
+	"starnuma/internal/evtrace",
+	"starnuma/internal/migrate",
+	"starnuma/internal/coherence",
+	"starnuma/internal/cache",
+	"starnuma/internal/link",
+	"starnuma/internal/memdev",
+	"starnuma/internal/pool",
+	"starnuma/internal/tlb",
+	"starnuma/internal/topology",
+	"starnuma/internal/trace",
+	"starnuma/internal/tracker",
+	"starnuma/internal/workload",
+	"starnuma/internal/stats",
 }

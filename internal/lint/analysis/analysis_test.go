@@ -7,22 +7,6 @@ import (
 	"testing"
 )
 
-func TestListFlag(t *testing.T) {
-	f := NewListFlag("x", "y")
-	if !f.Contains("x") || f.Contains("z") {
-		t.Fatalf("defaults not honoured: %v", f.List)
-	}
-	if err := f.Set(" a, b ,,c"); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.String(); got != "a,b,c" {
-		t.Fatalf("Set/String = %q", got)
-	}
-	if f.Contains("x") || !f.Contains("b") {
-		t.Fatalf("Set did not replace the list: %v", f.List)
-	}
-}
-
 func TestAllowDirective(t *testing.T) {
 	src := `package p
 

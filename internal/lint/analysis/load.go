@@ -28,16 +28,13 @@ type listPackage struct {
 	ImportMap  map[string]string
 }
 
-// Load type-checks the packages matching patterns (resolved relative to
-// dir, "" meaning the current directory) and returns them ready for
-// analysis. It shells out to `go list -export -json -deps`, which works
+// goList runs `go list -e -export -json -deps` on patterns in dir (""
+// meaning the current directory). It returns the export-data file of
+// every listed package, keyed by import path, and the packages the
+// patterns matched themselves: neither dependencies nor std. It works
 // offline: the go command compiles export data into the build cache and
-// reports the file paths, and go/importer reads them back. Test files
-// are not listed and therefore never analyzed.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
+// reports the file paths, and go/importer reads them back.
+func goList(dir string, patterns []string) (map[string]string, []*listPackage, error) {
 	args := append([]string{
 		"list", "-e", "-export",
 		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,ImportMap",
@@ -48,9 +45,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list: %v\n%s", err, stderr.Bytes())
+		return nil, nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.Bytes())
 	}
-
 	exports := make(map[string]string)
 	var targets []*listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -59,7 +55,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
+			return nil, nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -68,7 +64,21 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			targets = append(targets, p)
 		}
 	}
+	return exports, targets, nil
+}
 
+// Load type-checks the packages matching patterns (resolved relative to
+// dir, "" meaning the current directory; no pattern means ./...) and
+// returns them ready for analysis, sorted by import path. Test files
+// are not listed and therefore never analyzed.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	exports, targets, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
 	var pkgs []*Package
 	for _, lp := range targets {
@@ -119,39 +129,19 @@ func LoadFixture(dir string) (*Package, error) {
 			importSet[importPathOf(imp)] = true
 		}
 	}
-	exports := make(map[string]string)
+	var exports map[string]string // no imports, no export data to look up
 	if len(importSet) > 0 {
 		var imports []string
 		for p := range importSet {
 			imports = append(imports, p)
 		}
 		sort.Strings(imports)
-		args := append([]string{
-			"list", "-e", "-export",
-			"-json=ImportPath,Export", "-deps"}, imports...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir // inside the module; go list resolves std from anywhere in it
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("lint: go list %v: %v\n%s", imports, err, stderr.Bytes())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			p := new(listPackage)
-			if err := dec.Decode(p); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
+		// dir is inside the module; go list resolves std from anywhere in it.
+		if exports, _, err = goList(dir, imports); err != nil {
+			return nil, err
 		}
 	}
-	pkgPath := filepath.Base(dir)
-	pkg, err := check(fset, pkgPath, files, exports, nil)
+	pkg, err := check(fset, filepath.Base(dir), files, exports, nil)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking fixture %s: %v", dir, err)
 	}

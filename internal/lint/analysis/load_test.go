@@ -1,14 +1,10 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -116,23 +112,13 @@ func TestLoadFixtureEmpty(t *testing.T) {
 // export data, the same way Load does.
 func exportDataFor(t *testing.T, pkg string) string {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-e", "-export", "-json=ImportPath,Export", pkg)
-	out, err := cmd.Output()
+	exports, _, err := goList("", []string{pkg})
 	if err != nil {
-		t.Fatalf("go list -export %s: %v", pkg, err)
+		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		p := new(listPackage)
-		if err := dec.Decode(p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if p.ImportPath == pkg && p.Export != "" {
-			return p.Export
-		}
+	file, ok := exports[pkg]
+	if !ok {
+		t.Fatalf("no export data reported for %s", pkg)
 	}
-	t.Fatalf("no export data reported for %s", pkg)
-	return ""
+	return file
 }

@@ -2,27 +2,20 @@ package analysis
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 )
 
-// ReportSchema versions the machine-readable diagnostics format. CI
-// compares reports across commits, so the encoding must stay
-// byte-stable for a given set of findings; bump the schema when the
-// shape changes.
+// ReportSchema versions the machine-readable diagnostics format. The
+// encoding is byte-stable for a given set of findings, so CI's report
+// can be diffed or content-addressed across commits; bump the schema
+// when the shape changes.
 const ReportSchema = "starnumavet-diagnostics-v1"
 
-// ErrBadBaseline marks a baseline file that could not be decoded:
-// invalid JSON, a missing or foreign schema tag. Callers match it with
-// errors.Is.
-var ErrBadBaseline = errors.New("malformed starnumavet baseline")
-
 // JSONDiagnostic is one finding in the machine-readable report. File is
-// module-relative with forward slashes, so reports and baselines are
-// stable across checkouts and operating systems.
+// module-relative with forward slashes, so reports are stable across
+// checkouts and operating systems.
 type JSONDiagnostic struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -31,28 +24,11 @@ type JSONDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// Report is the top-level machine-readable diagnostics document, used
-// both for -json output and for committed baselines.
+// Report is the top-level machine-readable diagnostics document that
+// -json prints.
 type Report struct {
 	Schema      string           `json:"schema"`
 	Diagnostics []JSONDiagnostic `json:"diagnostics"`
-}
-
-// NewReport converts resolved findings into a sorted report. Paths are
-// made module-relative by locating the nearest enclosing go.mod.
-func NewReport(diags []flatDiag) *Report {
-	r := &Report{Schema: ReportSchema, Diagnostics: []JSONDiagnostic{}}
-	for _, d := range diags {
-		r.Diagnostics = append(r.Diagnostics, JSONDiagnostic{
-			File:     modRelative(d.posn.Filename),
-			Line:     d.posn.Line,
-			Col:      d.posn.Column,
-			Analyzer: d.analyzer,
-			Message:  d.msg,
-		})
-	}
-	r.Sort()
-	return r
 }
 
 // Sort orders the diagnostics deterministically by (file, line, col,
@@ -88,60 +64,6 @@ func (r *Report) Encode() []byte {
 		panic(err) // plain structs cannot fail to marshal
 	}
 	return append(data, '\n')
-}
-
-// DecodeReport parses a report or baseline document, rejecting corrupt
-// input and foreign schemas with an error matching ErrBadBaseline.
-func DecodeReport(data []byte) (*Report, error) {
-	r := new(Report)
-	if err := json.Unmarshal(data, r); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadBaseline, err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("%w: schema %q, want %q", ErrBadBaseline, r.Schema, ReportSchema)
-	}
-	if r.Diagnostics == nil {
-		r.Diagnostics = []JSONDiagnostic{}
-	}
-	return r, nil
-}
-
-// LoadBaseline reads and decodes a baseline file.
-func LoadBaseline(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeReport(data)
-}
-
-// baselineKey identifies a finding for baseline diffing. Line and
-// column are deliberately excluded: unrelated edits move findings
-// around a file without changing what they are, and a baseline that
-// churns on every edit is a baseline nobody trusts.
-type baselineKey struct {
-	file, analyzer, message string
-}
-
-// Diff returns the findings in cur that are not covered by base,
-// multiset-style: if base records one instance of a key and cur has
-// three, two survive.
-func Diff(cur, base *Report) *Report {
-	budget := make(map[baselineKey]int, len(base.Diagnostics))
-	for _, d := range base.Diagnostics {
-		budget[baselineKey{d.File, d.Analyzer, d.Message}]++
-	}
-	out := &Report{Schema: ReportSchema, Diagnostics: []JSONDiagnostic{}}
-	for _, d := range cur.Diagnostics {
-		k := baselineKey{d.File, d.Analyzer, d.Message}
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		out.Diagnostics = append(out.Diagnostics, d)
-	}
-	out.Sort()
-	return out
 }
 
 // modRelative rewrites filename relative to its module root (the

@@ -21,16 +21,17 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"slices"
 
 	"starnuma/internal/lint/analysis"
 )
 
-// unitTypes lists the guarded named types as "pkgpath.Name".
-var unitTypes = analysis.NewListFlag(
+// UnitTypes lists the guarded named types as "pkgpath.Name".
+var UnitTypes = []string{
 	"starnuma/internal/sim.Time",
 	"starnuma/internal/sim.Cycles",
 	"starnuma/internal/link.GBps",
-)
+}
 
 // Analyzer is the cycleunits pass.
 var Analyzer = &analysis.Analyzer{
@@ -40,11 +41,6 @@ var Analyzer = &analysis.Analyzer{
 		"may only be converted into one another through an explicit scalar\n" +
 		"with a conversion factor (or a helper like Cycles.Time).",
 	Run: run,
-}
-
-func init() {
-	Analyzer.Flags.Var(unitTypes, "types",
-		"comma-separated pkgpath.TypeName list of guarded unit types")
 }
 
 // unitKey returns the "pkgpath.Name" of t if it is a guarded unit type.
@@ -58,7 +54,7 @@ func unitKey(t types.Type) string {
 		return ""
 	}
 	key := obj.Pkg().Path() + "." + obj.Name()
-	if unitTypes.Contains(key) {
+	if slices.Contains(UnitTypes, key) {
 		return key
 	}
 	return ""

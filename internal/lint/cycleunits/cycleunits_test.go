@@ -8,10 +8,6 @@ import (
 )
 
 func TestCycleunits(t *testing.T) {
-	old := Analyzer.Flags.Lookup("types").Value.String()
-	if err := Analyzer.Flags.Set("types", "a.Time,a.Cycles,a.GBps"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { Analyzer.Flags.Set("types", old) })
+	linttest.Set(t, &UnitTypes, []string{"a.Time", "a.Cycles", "a.GBps"})
 	linttest.Run(t, Analyzer, filepath.Join("testdata", "src", "a"))
 }

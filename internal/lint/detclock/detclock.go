@@ -6,12 +6,13 @@
 // time.Now, a timer, or an environment variable on a simulation result
 // silently poisons the cache and breaks bit-reproducibility. The clock
 // belongs to the orchestration layer (internal/runner, internal/exp,
-// cmd/...), which is outside the analyzer's default scope.
+// cmd/...), which is outside analysis.SimPackages, the analyzer's scope.
 package detclock
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"starnuma/internal/lint/analysis"
 )
@@ -38,8 +39,6 @@ var forbidden = map[string]map[string]string{
 	},
 }
 
-var packages = analysis.NewListFlag(analysis.SimPackages...)
-
 // Analyzer is the detclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detclock",
@@ -51,13 +50,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(packages, "packages",
-		"comma-separated package paths the check applies to")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !packages.Contains(pass.Pkg.Path()) {
+	if !slices.Contains(analysis.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

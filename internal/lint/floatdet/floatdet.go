@@ -15,11 +15,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"starnuma/internal/lint/analysis"
 )
-
-var packages = analysis.NewListFlag(analysis.SimPackages...)
 
 // Analyzer is the floatdet pass.
 var Analyzer = &analysis.Analyzer{
@@ -32,13 +31,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(packages, "packages",
-		"comma-separated package paths the check applies to")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !packages.Contains(pass.Pkg.Path()) {
+	if !slices.Contains(analysis.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -4,28 +4,18 @@ import (
 	"path/filepath"
 	"testing"
 
+	"starnuma/internal/lint/analysis"
 	"starnuma/internal/lint/linttest"
 )
 
-// scopeTo points the analyzer at the fixture package for the duration
-// of a test.
-func scopeTo(t *testing.T, pkgs string) {
-	t.Helper()
-	old := Analyzer.Flags.Lookup("packages").Value.String()
-	if err := Analyzer.Flags.Set("packages", pkgs); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { Analyzer.Flags.Set("packages", old) })
-}
-
 func TestFloatdet(t *testing.T) {
-	scopeTo(t, "a")
+	linttest.Set(t, &analysis.SimPackages, []string{"a"})
 	linttest.Run(t, Analyzer, filepath.Join("testdata", "src", "a"))
 }
 
 // TestOutOfScope: float equality in a package outside the scope list
 // (the orchestration layer) produces no diagnostics.
 func TestOutOfScope(t *testing.T) {
-	scopeTo(t, "a")
+	linttest.Set(t, &analysis.SimPackages, []string{"a"})
 	linttest.Run(t, Analyzer, filepath.Join("testdata", "src", "b"))
 }

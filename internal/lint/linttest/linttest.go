@@ -8,11 +8,10 @@
 // by exactly one diagnostic reported on that line, and every diagnostic
 // must be claimed by a want. Fixtures live under testdata/src/<pkg> and
 // are type-checked as package path <pkg>, so analyzers whose behaviour
-// depends on the package path can be pointed at "a" via their flags.
+// depends on the package path are pointed at "a" with Set.
 package linttest
 
 import (
-	"go/ast"
 	"regexp"
 	"strings"
 	"testing"
@@ -97,30 +96,15 @@ func RunAnalyzers(t *testing.T, analyzers []*analysis.Analyzer, dir string) {
 	}
 }
 
-// Diagnostics applies the analyzer to an already-loaded package and
-// returns its findings (skipping _test.go files, as the drivers do).
-func Diagnostics(t *testing.T, a *analysis.Analyzer, pkg *analysis.Package) []analysis.Diagnostic {
+// Set assigns v to *p until the test ends. Analyzers read their scope
+// from package variables (analysis.SimPackages, cycleunits.UnitTypes,
+// metricname.DocPath), and a test points one at its fixture with Set.
+// No lint test runs in parallel, so the assignment races nothing.
+func Set[T any](t *testing.T, p *T, v T) {
 	t.Helper()
-	var files []*ast.File
-	for _, f := range pkg.Files {
-		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
-		files = append(files, f)
-	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-	return diags
+	old := *p
+	*p = v
+	t.Cleanup(func() { *p = old })
 }
 
 // splitPatterns parses the payload of a want comment: a sequence of

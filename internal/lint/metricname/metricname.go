@@ -47,7 +47,9 @@ var nameRE = regexp.MustCompile(`^[a-z0-9_-]+(/[a-z0-9_-]+)+$`)
 // leading separator, no empty segment.
 var prefixRE = regexp.MustCompile(`^[a-z0-9_-][a-z0-9_/-]*$`)
 
-var docPath string
+// DocPath is the observability doc the namespace check reads; empty
+// means docs/OBSERVABILITY.md beside the analyzed module's go.mod.
+var DocPath string
 
 // Analyzer is the metricname pass.
 var Analyzer = &analysis.Analyzer{
@@ -58,11 +60,6 @@ var Analyzer = &analysis.Analyzer{
 		"in docs/OBSERVABILITY.md. Names are resolved statically; a name with\n" +
 		"no resolvable constant prefix is an error.",
 	Run: run,
-}
-
-func init() {
-	Analyzer.Flags.StringVar(&docPath, "doc", "",
-		"path to the observability doc (default: docs/OBSERVABILITY.md beside the module's go.mod)")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -274,12 +271,12 @@ func (r *resolver) assignIndex() map[types.Object][]ast.Expr {
 // documentation check (grammar still applies), so fixtures and
 // embedded uses stay self-contained.
 func loadDoc(pass *analysis.Pass) (text, name string, err error) {
-	if docPath != "" {
-		data, err := os.ReadFile(docPath)
+	if DocPath != "" {
+		data, err := os.ReadFile(DocPath)
 		if err != nil {
 			return "", "", err
 		}
-		return string(data), filepath.ToSlash(docPath), nil
+		return string(data), filepath.ToSlash(DocPath), nil
 	}
 	if len(pass.Files) == 0 {
 		return "", "", nil

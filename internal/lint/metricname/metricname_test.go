@@ -7,18 +7,7 @@ import (
 	"starnuma/internal/lint/linttest"
 )
 
-// withDoc points the doc check at a fixture document for the duration
-// of a test.
-func withDoc(t *testing.T, path string) {
-	t.Helper()
-	old := docPath
-	if err := Analyzer.Flags.Set("doc", path); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { docPath = old })
-}
-
 func TestMetricname(t *testing.T) {
-	withDoc(t, filepath.Join("testdata", "obs.md"))
+	linttest.Set(t, &DocPath, filepath.Join("testdata", "obs.md"))
 	linttest.Run(t, Analyzer, filepath.Join("testdata", "src", "a"))
 }

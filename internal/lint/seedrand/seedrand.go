@@ -12,6 +12,7 @@ package seedrand
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"starnuma/internal/lint/analysis"
 )
@@ -34,8 +35,6 @@ var seedCtors = map[string]bool{"NewSource": true, "NewPCG": true, "NewChaCha8":
 
 func isRandPkg(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
 
-var packages = analysis.NewListFlag(analysis.SimPackages...)
-
 // Analyzer is the seedrand pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "seedrand",
@@ -46,13 +45,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(packages, "packages",
-		"comma-separated package paths the check applies to")
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !packages.Contains(pass.Pkg.Path()) {
+	if !slices.Contains(analysis.SimPackages, pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -4,19 +4,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"starnuma/internal/lint/analysis"
 	"starnuma/internal/lint/linttest"
 )
 
-func scopeTo(t *testing.T, pkgs string) {
-	t.Helper()
-	old := Analyzer.Flags.Lookup("packages").Value.String()
-	if err := Analyzer.Flags.Set("packages", pkgs); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { Analyzer.Flags.Set("packages", old) })
-}
-
 func TestSeedrand(t *testing.T) {
-	scopeTo(t, "a")
+	linttest.Set(t, &analysis.SimPackages, []string{"a"})
 	linttest.Run(t, Analyzer, filepath.Join("testdata", "src", "a"))
 }

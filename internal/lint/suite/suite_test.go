@@ -9,7 +9,10 @@ import (
 
 	"starnuma/internal/lint/allowcheck"
 	"starnuma/internal/lint/analysis"
+	"starnuma/internal/lint/cycleunits"
 	"starnuma/internal/lint/floatdet"
+	"starnuma/internal/lint/linttest"
+	"starnuma/internal/lint/metricname"
 )
 
 // docFile is the analyzer catalogue, relative to this package.
@@ -67,20 +70,6 @@ func TestEveryAnalyzerDocumented(t *testing.T) {
 	}
 }
 
-// setFlag sets an analyzer flag for the duration of the test.
-func setFlag(t *testing.T, a *analysis.Analyzer, name, value string) {
-	t.Helper()
-	f := a.Flags.Lookup(name)
-	if f == nil {
-		t.Fatalf("%s has no -%s flag", a.Name, name)
-	}
-	old := f.Value.String()
-	if err := a.Flags.Set(name, value); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Flags.Set(name, old) })
-}
-
 // TestFixturesPositive asserts that every registered analyzer still
 // fires on its own positive fixture (testdata/src/a). A silently dead
 // analyzer — one whose scope list, directive spelling, or type lookup
@@ -97,16 +86,16 @@ func TestFixturesPositive(t *testing.T) {
 			analyzers := []*analysis.Analyzer{a}
 			switch a.Name {
 			case "detclock", "seedrand", "floatdet":
-				setFlag(t, a, "packages", "a")
+				linttest.Set(t, &analysis.SimPackages, []string{"a"})
 			case "cycleunits":
-				setFlag(t, a, "types", "a.Time,a.Cycles,a.GBps")
+				linttest.Set(t, &cycleunits.UnitTypes, []string{"a.Time", "a.Cycles", "a.GBps"})
 			case "metricname":
-				setFlag(t, a, "doc", filepath.Join("..", "metricname", "testdata", "obs.md"))
+				linttest.Set(t, &metricname.DocPath, filepath.Join("..", "metricname", "testdata", "obs.md"))
 			case "allowcheck":
 				// allowcheck audits suppression usage, so it only fires
 				// when run behind the analyzer its fixture's directives
 				// name, through the shared driver pipeline.
-				setFlag(t, floatdet.Analyzer, "packages", "a")
+				linttest.Set(t, &analysis.SimPackages, []string{"a"})
 				analyzers = []*analysis.Analyzer{floatdet.Analyzer, allowcheck.Analyzer}
 			}
 
